@@ -11,8 +11,9 @@ import repro.stats.Moments
   * Discovery (§4): fit the global simple invariant of Algorithm 1 plus, for
   * every qualifying categorical attribute (≤ 50 distinct values, the
   * paper's threshold), a disjunctive invariant with one simple invariant
-  * per partition. All per-partition moments for one attribute come from a
-  * single `groupBy` scan.
+  * per partition. The global moments and those of every partition of every
+  * attribute come from a single scan ([[Moments.scan]]), which also counts
+  * each attribute's distinct values.
   *
   * Scoring: a `DataFrame → DataFrame` transformation appending a
   * `violation ∈ [0,1]` column — a deterministic UDF closing over the fitted
@@ -40,8 +41,9 @@ object Disynth {
     * @param df            training data
     * @param numericCols   numeric attributes the projections range over
     * @param partitionCols categorical attributes to partition on (attributes
-    *                      exceeding `maxDistinct` are silently skipped, as in
-    *                      the paper's greedy attribute selection)
+    *                      with more than `maxDistinct` distinct non-null
+    *                      values are silently skipped, as in the paper's
+    *                      greedy attribute selection)
     */
   def fit(
       df: DataFrame,
@@ -50,16 +52,15 @@ object Disynth {
       cfg: Config = Config(),
   ): ConformanceModel = {
     require(numericCols.nonEmpty, "Disynth.fit: no numeric columns")
-    val global = PcaSynth.simpleInvariant(Moments.of(df, numericCols), cfg.pca)
-    val disjunctive = partitionCols.flatMap { attr =>
-      val grouped = Moments.byGroup(df, numericCols, attr)
-      if (grouped.isEmpty || grouped.size > cfg.maxDistinct) None
-      else {
+    val scan = Moments.scan(df, numericCols, partitionCols, cfg.maxDistinct)
+    val global = PcaSynth.simpleInvariant(scan.global, cfg.pca)
+    val disjunctive = partitionCols.zip(scan.groups).flatMap {
+      case (attr, Some(grouped)) =>
         val cases = grouped.collect {
           case (v, mom) if mom.n >= cfg.minPartRows => v -> PcaSynth.simpleInvariant(mom, cfg.pca)
         }
         if (cases.isEmpty) None else Some(DisjunctiveInvariant(attr, cases))
-      }
+      case _ => None
     }
     ConformanceModel(numericCols, global, disjunctive)
   }
@@ -75,18 +76,7 @@ object Disynth {
     val categorical = fields.collect {
       case f if f.dataType == StringType || f.dataType == BooleanType => f.name
     }.toSeq
-    val usable =
-      if (categorical.isEmpty) Nil
-      else {
-        val counts = df.agg(
-          countDistinct(col(categorical.head)),
-          categorical.tail.map(c => countDistinct(col(c))): _*
-        ).head()
-        categorical.zipWithIndex.collect {
-          case (c, i) if counts.getLong(i) <= cfg.maxDistinct => c
-        }
-      }
-    fit(df, numeric, usable, cfg)
+    fit(df, numeric, categorical, cfg)
   }
 
   /** Append the model's violation score to every row of `df`.

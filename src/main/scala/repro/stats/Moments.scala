@@ -1,20 +1,23 @@
 package repro.stats
 
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.execution.SQLExecution
+import org.apache.spark.sql.functions.col
+import org.apache.spark.unsafe.types.UTF8String
 import repro.linalg.Mat
 
 /** First and second moments of a set of numeric columns, computed in a
   * single distributed scan.
   *
   * This is the paper's §4.3 scheme — `XᵀX = Σᵢ tᵢtᵢᵀ`, accumulated
-  * partition-wise in O(m²) memory — expressed through Catalyst: one
-  * `agg(count, sum(xᵢ), sum(xᵢ·xⱼ) …)` call, so Spark handles partial
-  * aggregation, codegen, and the shuffle-free final merge. Everything
-  * downstream (PCA invariants, OLS, per-projection μ/σ) is derived from
-  * this one pass.
+  * partition-wise in O(m²) memory. Each partition adds its rows into one
+  * packed primitive array by a rank-1 update per row; the driver merges
+  * the per-partition arrays (see [[Moments.scan]]). Everything downstream
+  * (PCA invariants, OLS, per-projection μ/σ) is derived from this one pass.
   *
-  * @param n    row count (rows with a null in any requested column dropped)
+  * @param n    row count (rows with a null/NaN in any requested column dropped)
   * @param cols column names in order
   * @param sums Σ xᵢ per column
   * @param gram Σ xᵢ·xⱼ, an m×m symmetric matrix
@@ -82,59 +85,149 @@ final case class Moments(n: Long, cols: Seq[String], sums: Array[Double], gram: 
 
 object Moments {
 
+  /** One moments pass over a DataFrame.
+    *
+    * @param global moments of every row without a null/NaN numeric value
+    * @param groups per grouping column: the moments of each of its values
+    *               that has such rows, or None when the column has more than
+    *               `maxDistinct` distinct non-null values
+    */
+  final case class Scan(global: Moments, groups: Seq[Option[Map[String, Moments]]])
+
   /** Compute [[Moments]] over `columns` of `df` in one scan.
     *
     * Rows containing a null/NaN in any of the columns are excluded — the
     * paper assumes fully-numeric tuples, and a NaN would poison every sum.
     */
-  def of(df: DataFrame, columns: Seq[String]): Moments = {
-    require(columns.nonEmpty, "Moments.of: no columns")
-    val m = columns.length
-    val cast = columns.map(c => col(c).cast("double").as(c))
-    val clean = df.select(cast: _*).na.drop()
-    val sumExprs = columns.map(c => sum(col(c)))
-    val gramExprs =
-      for (i <- 0 until m; j <- i until m)
-        yield sum(col(columns(i)) * col(columns(j)))
-    val row = clean.agg(count(lit(1)), (sumExprs ++ gramExprs): _*).head()
-
-    fromRow(row, 0, columns)
-  }
+  def of(df: DataFrame, columns: Seq[String]): Moments = scan(df, columns).global
 
   /** Compute per-group [[Moments]] over `columns`, grouped by the (string-
     * rendered) values of `groupCol`, in a single scan.
     *
-    * This powers disjunctive-invariant synthesis: one `groupBy(A).agg(...)`
-    * job yields the moments of *every* partition `D_l = σ_{A=v_l}(D)` at
-    * once, instead of one scan per distinct value. Rows where `groupCol` is
-    * null are excluded (they match no `(A = c)▷φ` branch anyway).
+    * This powers disjunctive-invariant synthesis: one job yields the moments
+    * of *every* partition `D_l = σ_{A=v_l}(D)` at once, instead of one scan
+    * per distinct value. Rows where `groupCol` is null are excluded (they
+    * match no `(A = c)▷φ` branch anyway).
     */
-  def byGroup(df: DataFrame, columns: Seq[String], groupCol: String): Map[String, Moments] = {
-    require(columns.nonEmpty, "Moments.byGroup: no columns")
+  def byGroup(df: DataFrame, columns: Seq[String], groupCol: String): Map[String, Moments] =
+    scan(df, columns, Seq(groupCol)).groups.head.get
+
+  /** The global moments of `columns` and the per-value moments of each of
+    * `groupCols`, in one Spark job.
+    *
+    * Each partition sums its rows into packed accumulators (layout in
+    * `Packed`): one global, and one per (grouping column, value). A grouping
+    * column's map holds at most `maxDistinct` values; at the next new value
+    * the column is marked over and its map dropped. The partials are
+    * collected and merged on the driver in partition order, so the same
+    * input under the same partitioning always gives bit-identical moments.
+    *
+    * A row with a null/NaN numeric value is left out of every sum, but its
+    * group keys still count towards `maxDistinct`; a row with a null group
+    * key counts in the global moments and in no group.
+    */
+  def scan(
+      df: DataFrame,
+      columns: Seq[String],
+      groupCols: Seq[String] = Nil,
+      maxDistinct: Int = Int.MaxValue,
+  ): Scan = {
+    require(columns.nonEmpty, "Moments: no columns")
     val m = columns.length
-    val cast = col(groupCol).cast("string").as("__grp") +:
-      columns.map(c => col(c).cast("double").as(c))
-    val clean = df.select(cast: _*).na.drop()
-    val sumExprs = columns.map(c => sum(col(c)))
-    val gramExprs =
-      for (i <- 0 until m; j <- i until m)
-        yield sum(col(columns(i)) * col(columns(j)))
-    val rows = clean.groupBy(col("__grp")).agg(count(lit(1)), (sumExprs ++ gramExprs): _*).collect()
-    rows.map(r => r.getString(0) -> fromRow(r, 1, columns)).toMap
+    val g = groupCols.length
+    val width = Packed.width(m)
+    val selected = df.select(
+      groupCols.map(c => col(c).cast("string")) ++ columns.map(c => col(c).cast("double")): _*)
+    val qe = selected.queryExecution
+    val partials = SQLExecution.withNewExecutionId(qe, Some("moments")) {
+      qe.toRdd.mapPartitions { rows =>
+        val global = new Array[Double](width)
+        // Per grouping column: value → accumulator; null once over maxDistinct.
+        val maps = Array.fill(g)(new java.util.HashMap[UTF8String, Array[Double]])
+        val x = new Array[Double](m)
+        while (rows.hasNext) {
+          val row = rows.next()
+          var clean = true
+          var i = 0
+          while (clean && i < m) {
+            if (row.isNullAt(g + i)) clean = false
+            else { x(i) = row.getDouble(g + i); clean = !x(i).isNaN }
+            i += 1
+          }
+          if (clean) Packed.add(global, x)
+          var a = 0
+          while (a < g) {
+            if (maps(a) != null && !row.isNullAt(a)) {
+              val key = row.getUTF8String(a)
+              var acc = maps(a).get(key)
+              if (acc == null && maps(a).size < maxDistinct) {
+                acc = new Array[Double](width)
+                maps(a).put(key.copy(), acc)
+              }
+              if (acc == null) maps(a) = null
+              else if (clean) Packed.add(acc, x)
+            }
+            a += 1
+          }
+        }
+        val groups = maps.map(mp => Option(mp).map(_.asScala.map { case (k, acc) => k.toString -> acc }.toMap))
+        Iterator.single((global, groups))
+      }.collect()
+    }
+
+    val global = new Array[Double](width)
+    val merged = Array.fill(g)(mutable.HashMap.empty[String, Array[Double]])
+    val over = new Array[Boolean](g)
+    partials.foreach { case (pGlobal, pGroups) =>
+      Packed.merge(global, pGlobal)
+      for (a <- 0 until g) pGroups(a) match {
+        case Some(from) if !over(a) =>
+          from.foreach { case (k, acc) => Packed.merge(merged(a).getOrElseUpdate(k, new Array[Double](width)), acc) }
+        case _ => over(a) = true
+      }
+    }
+    val groups = (0 until g).map { a =>
+      if (over(a) || merged(a).size > maxDistinct) None
+      else Some(merged(a).collect { case (k, acc) if acc(0) > 0 => k -> Packed.toMoments(acc, columns) }.toMap)
+    }
+    Scan(Packed.toMoments(global, columns), groups)
   }
 
-  /** Decode (count, sums, upper-triangular gram) laid out from `offset`. */
-  private def fromRow(row: org.apache.spark.sql.Row, offset: Int, columns: Seq[String]): Moments = {
-    val m = columns.length
-    val n = row.getLong(offset)
-    val sums = Array.tabulate(m)(i => if (row.isNullAt(offset + 1 + i)) 0.0 else row.getDouble(offset + 1 + i))
-    val gram = Mat.zeros(m, m)
-    var k = offset + 1 + m
-    for (i <- 0 until m; j <- i until m) {
-      val v = if (row.isNullAt(k)) 0.0 else row.getDouble(k)
-      gram(i, j) = v; gram(j, i) = v
-      k += 1
+  /** Packed moments accumulator: one `Array[Double]` laid out as
+    * `[n, Σxᵢ (m), Σxᵢxⱼ for i ≤ j (row-major upper triangle)]`.
+    */
+  private object Packed {
+    def width(m: Int): Int = 1 + m + m * (m + 1) / 2
+
+    /** Add the row `x` (rank-1 update of the upper triangle). */
+    def add(acc: Array[Double], x: Array[Double]): Unit = {
+      val m = x.length
+      acc(0) += 1
+      var k = 1 + m
+      var i = 0
+      while (i < m) {
+        val xi = x(i)
+        acc(1 + i) += xi
+        var j = i
+        while (j < m) { acc(k) += xi * x(j); j += 1; k += 1 }
+        i += 1
+      }
     }
-    Moments(n, columns, sums, gram)
+
+    def merge(into: Array[Double], from: Array[Double]): Unit = {
+      var k = 0
+      while (k < into.length) { into(k) += from(k); k += 1 }
+    }
+
+    def toMoments(acc: Array[Double], columns: Seq[String]): Moments = {
+      val m = columns.length
+      val gram = Mat.zeros(m, m)
+      var k = 1 + m
+      for (i <- 0 until m; j <- i until m) {
+        gram(i, j) = acc(k); gram(j, i) = acc(k)
+        k += 1
+      }
+      Moments(acc(0).toLong, columns, acc.slice(1, 1 + m), gram)
+    }
   }
 }

@@ -152,4 +152,96 @@ class DisynthSpec extends SparkSpec {
     val v2 = Disynth.score(probe, m2).select("violation").as[Double].head()
     assert(v1 == v2)
   }
+
+  test("a null partition key counts in the global fit but in no branch") {
+    val df = Seq[(String, Double)](("g1", 1.0), ("g1", 2.0), (null, 3.0), ("g2", 5.0), ("g2", 7.0))
+      .toDF("g", "x")
+    val model = Disynth.fit(df, Seq("x"), Seq("g"))
+    assert(model.global.n == 5)
+    val cases = model.disjunctive.head.cases
+    assert(cases.keySet == Set("g1", "g2"))
+    assert(cases.values.map(_.n).sum == 4)
+  }
+
+  test("autoFit skips an attribute with maxDistinct + 1 values, as countDistinct does") {
+    // g: a, b, c on clean rows and d only on a null-numeric row (4 values);
+    // h: a, b on clean rows and c only on a null-numeric row (3 values).
+    val df = Seq[(String, String, java.lang.Double)](
+      ("a", "a", 1.0), ("a", "a", 2.0), ("b", "b", 3.0), ("b", "b", 5.0),
+      ("c", "a", 4.0), ("c", "b", 6.0), ("d", "c", null))
+      .toDF("g", "h", "x")
+    val counts = df.agg(countDistinct(col("g")), countDistinct(col("h"))).head()
+    assert(counts.getLong(0) == 4 && counts.getLong(1) == 3)
+    val model = Disynth.autoFit(df, cfg = Disynth.Config(maxDistinct = 3))
+    assert(model.partitionAttrs == Seq("h"))
+    assert(model.disjunctive.head.cases.keySet == Set("a", "b"))
+    assert(Disynth.autoFit(df, cfg = Disynth.Config(maxDistinct = 4)).partitionAttrs == Seq("g", "h"))
+  }
+
+  test("a boolean partition attribute renders as true/false") {
+    val rows = (1 to 60).map(i => (i % 2 == 0, i.toDouble, if (i % 2 == 0) 2.0 * i else -i.toDouble))
+    val model = Disynth.autoFit(rows.toDF("flag", "x", "y"))
+    assert(model.partitionAttrs == Seq("flag"))
+    assert(model.disjunctive.head.cases.keySet == Set("true", "false"))
+    val probe = Seq((true, 10.0, 20.0), (false, 10.0, 20.0)).toDF("flag", "x", "y")
+    val scores = Disynth.score(probe, model).select("violation").as[Double].collect()
+    assert(scores(0) < 0.01 && scores(1) > 0.1)
+  }
+
+  test("empty input fits an empty model") {
+    val model = Disynth.fit(Seq.empty[(String, Double)].toDF("g", "x"), Seq("x"), Seq("g"))
+    assert(model.global.n == 0 && model.disjunctive.isEmpty)
+  }
+
+  /** Rows keyed by g with a different near-exact linear relation per key. */
+  private def pieceRows(n: Int): Seq[(String, Double, Double, Double)] = {
+    val rnd = new scala.util.Random(13)
+    (1 to n).map { i =>
+      val g = s"g${i % 3}"
+      val a = rnd.nextDouble() * 10; val b = rnd.nextGaussian() * 2
+      (g, a, b, (i % 3 + 1) * a - b + rnd.nextGaussian() * 0.05)
+    }
+  }
+
+  /** Same conjuncts in the same order: weights equal up to sign, and the
+    * bounds, σ and γ equal under that sign, all within `tol` (relative).
+    */
+  private def assertSameInvariant(x: SimpleInvariant, y: SimpleInvariant, tol: Double): Unit = {
+    def close(p: Double, q: Double) = math.abs(p - q) <= tol * (1 + math.max(math.abs(p), math.abs(q)))
+    assert(x.conjuncts.length == y.conjuncts.length)
+    x.conjuncts.zip(y.conjuncts).foreach { case (p, q) =>
+      val (wp, wq) = (p.proj.weights, q.proj.weights)
+      val sign = math.signum(wp.zip(wq).map { case (u, v) => u * v }.sum)
+      assert(wp.indices.forall(i => close(wp(i), sign * wq(i))), s"weights ${wp.toSeq} vs ${wq.toSeq}")
+      val (lb, ub) = if (sign > 0) (q.lb, q.ub) else (-q.ub, -q.lb)
+      assert(close(p.lb, lb) && close(p.ub, ub), s"bounds [${p.lb}, ${p.ub}] vs [$lb, $ub]")
+      assert(close(p.std, q.std) && close(p.gamma, q.gamma))
+    }
+  }
+
+  private def assertSameModel(x: ConformanceModel, y: ConformanceModel, tol: Double): Unit = {
+    assertSameInvariant(x.global.inv, y.global.inv, tol)
+    assert(x.partitionAttrs == y.partitionAttrs)
+    x.disjunctive.zip(y.disjunctive).foreach { case (dx, dy) =>
+      assert(dx.cases.keySet == dy.cases.keySet)
+      dx.cases.keys.foreach(k => assertSameInvariant(dx.cases(k).inv, dy.cases(k).inv, tol))
+    }
+  }
+
+  test("fitted weights and bounds do not depend on partition count or row order") {
+    val rows = pieceRows(1500)
+    def fitOf(rs: Seq[(String, Double, Double, Double)], parts: Int) =
+      Disynth.fit(spark.sparkContext.parallelize(rs, parts).toDF("g", "a", "b", "c"),
+        Seq("a", "b", "c"), Seq("g"))
+    val ref = fitOf(rows, 1)
+    Seq(fitOf(rows, 3), fitOf(rows, 8), fitOf(rows.reverse, 4)).foreach(assertSameModel(ref, _, 1e-6))
+  }
+
+  test("doubling every row leaves the invariants unchanged") {
+    val df = pieceRows(1500).toDF("g", "a", "b", "c")
+    val once = Disynth.fit(df, Seq("a", "b", "c"), Seq("g"))
+    val twice = Disynth.fit(df.union(df), Seq("a", "b", "c"), Seq("g"))
+    assert(twice.global.n == 2 * once.global.n)
+    assertSameModel(once, twice, 1e-6)
+  }
 }

@@ -150,4 +150,89 @@ class MomentsSpec extends SparkSpec {
     assert(m.varianceOf(Array(-2.0, 1.0)) == 0.0)
     assert(m.stdOf(Array(-2.0, 1.0)) == 0.0)
   }
+
+  test("a NaN numeric drops the row like a null") {
+    import spark.implicits._
+    val df = Seq(("x", 1.0, 2.0), ("x", Double.NaN, 3.0), ("y", 4.0, 5.0), ("y", 6.0, Double.NaN))
+      .toDF("g", "a", "b")
+    val m = Moments.of(df, Seq("a", "b"))
+    assert(m.n == 2)
+    assert(m.sums(0) == 5.0 && m.sums(1) == 7.0)
+    val by = Moments.byGroup(df, Seq("a", "b"), "g")
+    assert(by("x").n == 1 && by("y").n == 1)
+  }
+
+  test("empty input gives n = 0 and zero sums") {
+    import spark.implicits._
+    val df = Seq.empty[(String, Double)].toDF("g", "v")
+    val m = Moments.of(df, Seq("v"))
+    assert(m.n == 0 && m.sums.toSeq == Seq(0.0) && m.gram(0, 0) == 0.0)
+    assert(Moments.byGroup(df, Seq("v"), "g").isEmpty)
+  }
+
+  test("scan: a null group key counts in the global moments and in no group") {
+    import spark.implicits._
+    val df = Seq[(String, Double)](("x", 1.0), (null, 2.0), ("y", 4.0)).toDF("g", "v")
+    val scan = Moments.scan(df, Seq("v"), Seq("g"))
+    assert(scan.global.n == 3 && scan.global.sums(0) == 7.0)
+    val groups = scan.groups.head.get
+    assert(groups.keySet == Set("x", "y"))
+    assert(groups.values.map(_.n).sum == 2)
+  }
+
+  test("scan: a column over maxDistinct is None, and values of null-numeric rows count") {
+    import spark.implicits._
+    // g has 4 distinct values, d only on a row whose numeric is null; h has 3.
+    val df = Seq[(String, String, java.lang.Double)](
+      ("a", "a", 1.0), ("b", "b", 2.0), ("c", "c", 3.0), ("d", "c", null), ("a", null, 5.0))
+      .toDF("g", "h", "v")
+    val scan = Moments.scan(df, Seq("v"), Seq("g", "h"), maxDistinct = 3)
+    assert(scan.groups.head.isEmpty)
+    assert(scan.groups(1).get.keySet == Set("a", "b", "c"))
+    assert(Moments.scan(df, Seq("v"), Seq("g"), maxDistinct = 4).groups.head.get.keySet == Set("a", "b", "c"))
+  }
+
+  /** Rows with a small-integer group key and offset, correlated numerics. */
+  private def groupedRows(n: Int): Seq[(String, Double, Double, Double)] = {
+    val rnd = new scala.util.Random(11)
+    (1 to n).map { i =>
+      val a = 1000.0 + rnd.nextDouble() * 10; val b = rnd.nextGaussian()
+      (s"k${i % 5}", a, b, a - 3 * b + rnd.nextGaussian() * 0.01)
+    }
+  }
+
+  private def assertClose(x: Moments, y: Moments, rel: Double): Unit = {
+    assert(x.n == y.n && x.cols == y.cols)
+    def close(p: Double, q: Double) = math.abs(p - q) <= rel * math.max(math.abs(p), math.abs(q))
+    x.sums.indices.foreach(i => assert(close(x.sums(i), y.sums(i)), s"sum $i: ${x.sums(i)} vs ${y.sums(i)}"))
+    x.gram.data.indices.foreach(k => assert(close(x.gram.data(k), y.gram.data(k)), s"gram $k"))
+  }
+
+  test("moments do not depend on partition count or row order") {
+    import spark.implicits._
+    val rows = groupedRows(3000)
+    val cols = Seq("a", "b", "c")
+    def scanOf(rs: Seq[(String, Double, Double, Double)], parts: Int) =
+      Moments.scan(spark.sparkContext.parallelize(rs, parts).toDF("g", "a", "b", "c"), cols, Seq("g"))
+    val ref = scanOf(rows, 1)
+    for (other <- Seq(scanOf(rows, 3), scanOf(rows, 8), scanOf(rows.reverse, 4))) {
+      assertClose(ref.global, other.global, 1e-9)
+      val (rg, og) = (ref.groups.head.get, other.groups.head.get)
+      assert(rg.keySet == og.keySet)
+      rg.keys.foreach(k => assertClose(rg(k), og(k), 1e-9))
+    }
+  }
+
+  test("two scans of the same partitioning give bit-identical moments") {
+    import spark.implicits._
+    val df = spark.sparkContext.parallelize(groupedRows(3000), 6).toDF("g", "a", "b", "c")
+    val cols = Seq("a", "b", "c")
+    val s1 = Moments.scan(df, cols, Seq("g"))
+    val s2 = Moments.scan(df, cols, Seq("g"))
+    def same(x: Moments, y: Moments) =
+      x.n == y.n && x.sums.sameElements(y.sums) && x.gram.data.sameElements(y.gram.data)
+    assert(same(s1.global, s2.global))
+    val (g1, g2) = (s1.groups.head.get, s2.groups.head.get)
+    assert(g1.keySet == g2.keySet && g1.keys.forall(k => same(g1(k), g2(k))))
+  }
 }
