@@ -59,26 +59,28 @@ final case class ConformanceModel(
   /** Attributes the compound invariants switch on. */
   def partitionAttrs: Seq[String] = disjunctive.map(_.attr)
 
+  /** The model flattened for evaluation; built once per JVM (it is not
+    * serialized with the model).
+    */
+  @transient lazy val compiled: CompiledModel = new CompiledModel(this)
+
   /** [[Φ]](t): equal-weight conjunction of the disjunctive components
     * (each component already scores within [0,1]), falling back to the
-    * global simple invariant when there are none.
+    * global simple invariant when there are none. Evaluated on
+    * [[compiled]].
     *
     * @param partVals value of each partition attribute on the tuple
     * @param x        numeric attribute values in `numericCols` order
     */
-  def violation(partVals: Map[String, Option[String]], x: Array[Double]): Double =
-    if (disjunctive.isEmpty) global.violation(x)
-    else disjunctive.iterator.map(d => d.violation(partVals.getOrElse(d.attr, None), x)).sum /
-      disjunctive.size
+  def violation(partVals: Map[String, Option[String]], x: Array[Double]): Double = {
+    require(x.length == numericCols.length, "violation: length mismatch")
+    compiled.violation(compiled.branchIndexes(partVals), x)
+  }
 
   /** Intervention target for a tuple: the means of the partition the tuple
     * falls in (first disjunctive attribute with a seen value), else the
     * global training means. ExTuNe substitutes attribute values from here.
     */
-  def interventionMeans(partVals: Map[String, Option[String]]): Array[Double] = {
-    val matched = disjunctive.iterator
-      .flatMap(d => partVals.getOrElse(d.attr, None).flatMap(d.cases.get))
-      .toSeq
-    if (matched.isEmpty) global.means else matched.head.means
-  }
+  def interventionMeans(partVals: Map[String, Option[String]]): Array[Double] =
+    compiled.interventionMeans(compiled.branchIndexes(partVals))
 }

@@ -16,8 +16,10 @@ import repro.stats.Moments
   * each attribute's distinct values.
   *
   * Scoring: a `DataFrame → DataFrame` transformation appending a
-  * `violation ∈ [0,1]` column — a deterministic UDF closing over the fitted
-  * model (small: O(m²) doubles per partition), no shuffle.
+  * `violation ∈ [0,1]` column, no shuffle. A deterministic UDF closes over
+  * the model's [[CompiledModel]] (flat arrays, O(m²) doubles per branch)
+  * and reads each row as a primitive numeric array plus one branch index
+  * per disjunctive attribute, which a Catalyst `array_position` computes.
   */
 object Disynth {
 
@@ -84,15 +86,23 @@ object Disynth {
     * @param outCol name of the appended score column
     */
   def score(df: DataFrame, model: ConformanceModel, outCol: String = "violation"): DataFrame = {
-    val numArr: Column = array(model.numericCols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN))): _*)
-    val partAttrs = model.partitionAttrs
-    val partArr: Column =
-      if (partAttrs.isEmpty) array() else array(partAttrs.map(c => col(c).cast("string")): _*)
-    val scoreUdf = udf { (xs: Seq[Double], ps: Seq[String]) =>
-      val partVals = partAttrs.iterator.zip(ps.iterator).map { case (a, v) => a -> Option(v) }.toMap
-      model.violation(partVals, xs.toArray)
+    val (xs, idx) = inputColumns(model)
+    val compiled = model.compiled
+    val scoreUdf = udf((x: Array[Double], b: Array[Int]) => compiled.violation(b, x))
+    df.withColumn(outCol, scoreUdf(xs, idx))
+  }
+
+  /** The model's inputs as two non-null array columns: the numeric
+    * attributes in `numericCols` order as doubles (null → NaN), and per
+    * disjunctive attribute the tuple's branch index in
+    * [[CompiledModel.keys]] (−1 for a null or unseen value).
+    */
+  private[repro] def inputColumns(model: ConformanceModel): (Column, Column) = {
+    val xs = array(model.numericCols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN))): _*)
+    val idx = model.partitionAttrs.zip(model.compiled.keys).map { case (a, ks) =>
+      (coalesce(array_position(typedLit(ks), col(a).cast("string")), lit(0L)) - 1).cast("int")
     }
-    df.withColumn(outCol, scoreUdf(numArr, partArr))
+    (xs, if (idx.isEmpty) typedLit(Array.empty[Int]) else array(idx: _*))
   }
 
   /** Average violation of a dataset against a model — the paper's drift

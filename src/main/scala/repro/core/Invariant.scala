@@ -5,8 +5,9 @@ import repro.linalg.Mat
 /** The paper's invariant language (§3.1) and quantitative semantics (§3.2),
   * for *simple* invariants: conjunctions of bounded linear projections.
   *
-  * All classes here are small, immutable, and `Serializable`, so a fitted
-  * model ships inside a UDF closure to the executors for scoring.
+  * All classes here are small, immutable, and `Serializable`. They define
+  * the semantics; evaluation runs on their flattened form,
+  * [[CompiledModel]], which is what a scoring UDF ships to the executors.
   */
 object Invariant {
   /** Normalization function η(z) = 1 − e^(−z), mapping [0,∞) → [0,1). */

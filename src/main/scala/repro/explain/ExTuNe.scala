@@ -1,8 +1,7 @@
 package repro.explain
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.{ConformanceModel, Disynth}
+import repro.core.{CompiledModel, ConformanceModel, Disynth}
 
 /** ExTuNe — intervention-centric explanation of tuple non-conformance
   * (§6.3): responsibility of attribute Aᵢ for a tuple's violation.
@@ -24,38 +23,93 @@ object ExTuNe {
   /** Per-attribute responsibility of one tuple.
     *
     * @param partVals partition-attribute values of the tuple
-    * @param x        numeric values in model ordering (mutated copies only)
+    * @param x        numeric values in model ordering (not mutated)
     */
   def tupleResponsibility(
       model: ConformanceModel,
       partVals: Map[String, Option[String]],
       x: Array[Double],
   ): Array[Double] = {
-    val m = x.length
-    val target = model.interventionMeans(partVals)
-    val out = new Array[Double](m)
-    if (model.violation(partVals, x) <= ConformEps) return out // conforming: nobody responsible
+    require(x.length == model.numericCols.length, "tupleResponsibility: length mismatch")
+    responsibility(model.compiled, model.compiled.branchIndexes(partVals), x)
+  }
 
+  /** The greedy repair on the compiled model, for a tuple's branch indexes.
+    *
+    * The branches a tuple falls in stay fixed under substitution, so the
+    * violation is the mean of a few simple invariants (an undefined one
+    * scores 1). Each round projects the current tuple once; a trial
+    * substitution of attribute j then moves every projection by
+    * w_kj·(target_j − t_j), which costs O(K) instead of O(K·m). The
+    * violation that decides when to stop is recomputed from scratch after
+    * every committed substitution, so rounding in the trials can only
+    * matter between trials within rounding of each other. A round whose
+    * tuple still holds a NaN or infinite value evaluates its trials from
+    * scratch, since such a value does not cancel out incrementally. Trials
+    * run in ascending attribute order and only a strictly lower violation
+    * replaces the best, so ties go to the lowest index.
+    */
+  private def responsibility(model: CompiledModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
+    val m = x.length
+    val out = new Array[Double](m)
+    if (model.violation(idx, x) <= ConformEps) return out // conforming: nobody responsible
+
+    val target = model.interventionMeans(idx)
+    val comps = model.components(idx)
+    val f = comps.map(c => if (c == null) null else new Array[Double](c.k))
+    val t = new Array[Double](m)
+
+    // Projects t into f and returns its violation.
+    def project(): Double = {
+      var s = 0.0; var a = 0
+      while (a < comps.length) {
+        s += (if (comps(a) == null) 1.0 else comps(a).project(t, f(a)))
+        a += 1
+      }
+      s / comps.length
+    }
+    def trial(j: Int, incremental: Boolean): Double =
+      if (incremental) {
+        val delta = target(j) - t(j)
+        var s = 0.0; var a = 0
+        while (a < comps.length) {
+          val c = comps(a)
+          s += (if (c == null) 1.0 else c.violationShifted(f(a), j, delta))
+          a += 1
+        }
+        s / comps.length
+      } else {
+        val saved = t(j)
+        t(j) = target(j)
+        val v = model.violation(idx, t)
+        t(j) = saved
+        v
+      }
+
+    val done = new Array[Boolean](m)
     var i = 0
     while (i < m) {
-      val t = x.clone()
+      System.arraycopy(x, 0, t, 0, m)
       t(i) = target(i)
-      var v = model.violation(partVals, t)
+      java.util.Arrays.fill(done, false)
+      done(i) = true
+      var v = project()
       var k = 0
-      val remaining = scala.collection.mutable.Set.from((0 until m).filter(_ != i))
-      while (v > ConformEps && remaining.nonEmpty) {
+      while (v > ConformEps && k < m - 1) {
         // Greedy: substitute the attribute that lowers violation the most.
+        val incremental = t.forall(java.lang.Double.isFinite)
         var bestJ = -1; var bestV = Double.MaxValue
-        for (j <- remaining) {
-          val saved = t(j)
-          t(j) = target(j)
-          val vj = model.violation(partVals, t)
-          if (vj < bestV) { bestV = vj; bestJ = j }
-          t(j) = saved
+        var j = 0
+        while (j < m) {
+          if (!done(j)) {
+            val vj = trial(j, incremental)
+            if (vj < bestV) { bestV = vj; bestJ = j }
+          }
+          j += 1
         }
         t(bestJ) = target(bestJ)
-        remaining -= bestJ
-        v = bestV
+        done(bestJ) = true
+        v = project()
         k += 1
       }
       // If substituting everything still violates (unseen partition value),
@@ -68,24 +122,22 @@ object ExTuNe {
 
   /** Aggregate responsibility per attribute over (a sample of) `df`.
     *
-    * @param maxTuples cap on tuples analysed — the greedy repair is O(m²)
-    *                  model evaluations per tuple, so explanation runs on a
-    *                  sample, as in the ExTuNe demo
+    * @param maxTuples cap on tuples analysed — the greedy repair makes up to
+    *                  m starts × m rounds × m trials per tuple, each trial
+    *                  O(K) on the compiled model (O(m³·K) in the worst
+    *                  case), so explanation runs on a sample, as in the
+    *                  ExTuNe demo
     * @return attribute name → mean responsibility, in model column order
     */
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {
-    val partAttrs = model.partitionAttrs
-    val numArr = array(model.numericCols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN))): _*)
-    val partArr = if (partAttrs.isEmpty) array() else array(partAttrs.map(c => col(c).cast("string")): _*)
-    val rows = df.select(numArr.as("__x"), partArr.as("__p")).limit(maxTuples).collect()
+    import df.sparkSession.implicits._
+    val (xs, idx) = Disynth.inputColumns(model)
+    val rows = df.select(xs.as("_1"), idx.as("_2")).limit(maxTuples).as[(Array[Double], Array[Int])].collect()
     require(rows.nonEmpty, "ExTuNe.aggregate: empty input")
 
     val sums = new Array[Double](model.numericCols.length)
-    rows.foreach { r =>
-      val x = r.getSeq[Double](0).toArray
-      val ps = r.getSeq[String](1)
-      val partVals = partAttrs.iterator.zip(ps.iterator).map { case (a, v) => a -> Option(v) }.toMap
-      val resp = tupleResponsibility(model, partVals, x)
+    rows.foreach { case (x, b) =>
+      val resp = responsibility(model.compiled, b, x)
       var i = 0
       while (i < sums.length) { sums(i) += resp(i); i += 1 }
     }

@@ -1,7 +1,8 @@
 package repro.explain
 
+import scala.util.Random
 import repro.SparkSpec
-import repro.core.Disynth
+import repro.core._
 
 class ExTuNeSpec extends SparkSpec {
 
@@ -83,5 +84,58 @@ class ExTuNeSpec extends SparkSpec {
     val df = Seq.empty[(Double, Double)].toDF("a", "b")
     val model = Disynth.fit(train2d(), Seq("a", "b"))
     intercept[IllegalArgumentException](ExTuNe.aggregate(df, model))
+  }
+
+  test("responsibilities equal the naive greedy on random models and tuples") {
+    var multiRound, partition, unseen, conforming, nan = 0
+    (1 to 60).foreach { seed =>
+      val rnd = new Random(seed)
+      val m = 3 + rnd.nextInt(4)
+      val attrs = seed % 3 match {
+        case 0 => Nil
+        case 1 => Seq("g" -> Seq("a", "b", "c"))
+        case _ => Seq("g" -> Seq("a", "b"), "h" -> Seq("p", "q"))
+      }
+      val (model, sources) = RandomModels.model(rnd, m, attrs)
+      (1 to 15).foreach { _ =>
+        val pv: Map[String, Option[String]] = attrs.map { case (a, keys) =>
+          a -> (if (rnd.nextInt(8) == 0) Some("unseen") else Some(keys(rnd.nextInt(keys.size))))
+        }.toMap
+        val src = attrs.headOption.flatMap { case (a, _) => pv(a).flatMap(v => sources.get(s"$a=$v")) }
+          .getOrElse(sources(""))
+        val x = src.draw(rnd)
+        val shifted = rnd.nextInt(4)
+        rnd.shuffle((0 until m).toList).take(shifted).foreach(i => x(i) += rnd.between(20.0, 60.0) * (if (rnd.nextBoolean()) 1 else -1))
+        if (rnd.nextInt(10) == 0) { x(rnd.nextInt(m)) = Double.NaN; nan += 1 }
+
+        val got = ExTuNe.tupleResponsibility(model, pv, x)
+        val want = GreedyOracle.tupleResponsibility(model, pv, x)
+        assert(got.sameElements(want), s"seed $seed pv $pv x ${x.toSeq}: got ${got.toSeq}, want ${want.toSeq}")
+
+        val v = Reference.violation(model, pv, x)
+        if (v <= ExTuNe.ConformEps) { conforming += 1; assert(got.forall(_ == 0.0)) }
+        if (pv.values.exists(_.contains("unseen"))) { unseen += 1; assert(got.forall(_ == 0.0)) }
+        else if (attrs.nonEmpty && v > ExTuNe.ConformEps) partition += 1
+        if (got.exists(r => r > 0 && r < 0.5)) multiRound += 1
+      }
+    }
+    assert(multiRound > 0 && partition > 0 && unseen > 0 && conforming > 0 && nan > 0,
+      s"coverage: multiRound $multiRound partition $partition unseen $unseen conforming $conforming nan $nan")
+  }
+
+  test("exact tie: the lowest-index attribute is substituted first") {
+    // One conjunct F = b + c + d within ±1 and α large enough that every
+    // violated trial scores exactly 1: b, c and d are symmetric and equally
+    // far off, and a, which F ignores, ties with them. Substituting the
+    // lowest index first wastes a step on a whenever a is left, so every
+    // start needs all three fixes after it (1/4); breaking ties towards the
+    // highest index would give starts b, c and d 1/3.
+    val bp = BoundedProjection(LinearProjection(Array(0.0, 1.0, 1.0, 1.0)), -1.0, 1.0,
+      alpha = 100.0, gamma = 1.0, mean = 0.0, std = 0.25)
+    val model = ConformanceModel(Seq("a", "b", "c", "d"),
+      FittedSimple(SimpleInvariant(Seq(bp)), Array(0.0, 0.0, 0.0, 0.0), 10L), Nil)
+    val x = Array(5.0, 5.0, 5.0, 5.0)
+    assert(ExTuNe.tupleResponsibility(model, Map.empty, x).toSeq == Seq(0.25, 0.25, 0.25, 0.25))
+    assert(GreedyOracle.tupleResponsibility(model, Map.empty, x).toSeq == Seq(0.25, 0.25, 0.25, 0.25))
   }
 }
