@@ -3,7 +3,7 @@ package repro.drift
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.linalg.{Eigen, Mat}
-import repro.stats.Moments
+import repro.stats.{Moments, Standardizer}
 
 /** CD baseline [Qahtan et al., KDD 2015]: PCA-based change detection.
   *
@@ -28,6 +28,7 @@ object ChangeDetection {
 
   /** Fitted detector.
     *
+    * @param z          standardization by the training means and stds
     * @param components retained top eigenvectors (rows), highest variance first
     * @param lo/hi      per-component histogram range (reference window,
     *                   widened so moderate drift stays on-range)
@@ -35,8 +36,7 @@ object ChangeDetection {
     */
   final case class Model(
       cols: Seq[String],
-      means: Array[Double],
-      stds: Array[Double],
+      z: Standardizer,
       components: Array[Array[Double]],
       lo: Array[Double],
       hi: Array[Double],
@@ -59,18 +59,8 @@ object ChangeDetection {
   ): Model = {
     val mom = Moments.of(df, numericCols)
     val m = numericCols.length
-    val means = mom.means
-    val stds = numericCols.indices.map { i =>
-      val unit = Array.tabulate(m)(j => if (j == i) 1.0 else 0.0)
-      mom.stdOf(unit)
-    }.toArray
-    val cov = mom.covariance
-    val corr = Mat.zeros(m, m)
-    for (i <- 0 until m; j <- 0 until m) {
-      val d = stds(i) * stds(j)
-      corr(i, j) = if (d > 0) cov(i, j) / d else (if (i == j) 1.0 else 0.0)
-    }
-    val eig = Eigen.symmetric(corr)
+    val z = mom.standardizer
+    val eig = Eigen.symmetric(mom.correlation)
     val total = eig.values.map(math.max(_, 0.0)).sum.max(1e-12)
     // Descending order: take from the top until the fraction is covered.
     val desc = (m - 1) to 0 by -1
@@ -83,24 +73,25 @@ object ChangeDetection {
     // Component score range on the reference window, widened by 50% per side
     // so moderately drifted data still lands in the histogram.
     val projCols = comps.zipWithIndex.map { case (_, i) => s"__p$i" }
-    val projected = project(df, numericCols, means, stds, comps)
-    val mins = projected.agg(min(col(projCols.head)), projCols.tail.map(c => min(col(c))): _*).head()
-    val maxs = projected.agg(max(col(projCols.head)), projCols.tail.map(c => max(col(c))): _*).head()
-    val lo = new Array[Double](comps.length)
-    val hi = new Array[Double](comps.length)
+    val projected = project(df, numericCols, z, comps)
+    val k = comps.length
+    val bounds = projCols.map(c => min(col(c))) ++ projCols.map(c => max(col(c)))
+    val range = projected.agg(bounds.head, bounds.tail: _*).head()
+    val lo = new Array[Double](k)
+    val hi = new Array[Double](k)
     for (i <- comps.indices) {
-      val a = mins.getDouble(i); val b = maxs.getDouble(i)
+      val a = range.getDouble(i); val b = range.getDouble(k + i)
       val w = math.max(b - a, 1e-9)
       lo(i) = a - 0.5 * w; hi(i) = b + 0.5 * w
     }
     val refHist = histograms(projected, projCols, lo, hi, bins)
-    Model(numericCols, means, stds, comps, lo, hi, refHist, bins)
+    Model(numericCols, z, comps, lo, hi, refHist, bins)
   }
 
   /** Divergence of `df` from the reference window under `metric`. */
   def drift(df: DataFrame, model: Model, metric: Metric): Double = {
     val projCols = model.components.indices.map(i => s"__p$i")
-    val projected = project(df, model.cols, model.means, model.stds, model.components)
+    val projected = project(df, model.cols, model.z, model.components)
     val hist = histograms(projected, projCols, model.lo, model.hi, model.bins)
     val per = model.components.indices.map { k =>
       metric match {
@@ -114,15 +105,13 @@ object ChangeDetection {
   private def project(
       df: DataFrame,
       cols: Seq[String],
-      means: Array[Double],
-      stds: Array[Double],
+      z: Standardizer,
       comps: Array[Array[Double]],
   ): DataFrame = {
     val arr = array(cols.map(c => col(c).cast("double")): _*)
     val f = udf { (xs: Seq[Double]) =>
-      val z = Array.tabulate(xs.length)(i =>
-        if (stds(i) > 0) (xs(i) - means(i)) / stds(i) else xs(i) - means(i))
-      comps.map(cvec => Mat.dot(cvec, z)).toSeq
+      val zx = z(xs.toArray)
+      comps.map(cvec => Mat.dot(cvec, zx)).toSeq
     }
     val projected = df.na.drop(cols).withColumn("__proj", f(arr))
     comps.indices.foldLeft(projected) { (d, i) =>

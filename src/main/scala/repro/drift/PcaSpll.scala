@@ -3,7 +3,7 @@ package repro.drift
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.linalg.{Eigen, Mat}
-import repro.stats.Moments
+import repro.stats.{Moments, Standardizer}
 
 /** PCA-SPLL baseline [Kuncheva & Faithfull, TNNLS 2014].
   *
@@ -24,27 +24,24 @@ object PcaSpll {
   /** Fitted detector.
     *
     * @param cols       numeric columns (model ordering)
-    * @param means      training means (standardization)
-    * @param stds       training stds
+    * @param z          standardization by the training means and stds
     * @param components retained eigenvectors (rows), lowest variance first
     * @param variances  eigenvalue (variance) of each retained component,
     *                   floored for Mahalanobis stability
     */
   final case class Model(
       cols: Seq[String],
-      means: Array[Double],
-      stds: Array[Double],
+      z: Standardizer,
       components: Array[Array[Double]],
       variances: Array[Double],
   ) extends Serializable {
 
     /** Squared Mahalanobis distance of one tuple in the retained subspace. */
     def mahalanobis2(x: Array[Double]): Double = {
-      val z = Array.tabulate(x.length)(i =>
-        if (stds(i) > 0) (x(i) - means(i)) / stds(i) else x(i) - means(i))
+      val zx = z(x)
       var s = 0.0; var k = 0
       while (k < components.length) {
-        val p = Mat.dot(components(k), z)
+        val p = Mat.dot(components(k), zx)
         s += p * p / variances(k)
         k += 1
       }
@@ -61,20 +58,8 @@ object PcaSpll {
   def fit(df: DataFrame, numericCols: Seq[String], varianceFraction: Double = 0.25): Model = {
     val mom = Moments.of(df, numericCols)
     val m = numericCols.length
-    val means = mom.means
-    val stds = numericCols.indices.map { i =>
-      val unit = Array.tabulate(m)(j => if (j == i) 1.0 else 0.0)
-      mom.stdOf(unit)
-    }.toArray
-
-    // Correlation matrix = covariance of the standardized attributes.
-    val cov = mom.covariance
-    val corr = Mat.zeros(m, m)
-    for (i <- 0 until m; j <- 0 until m) {
-      val d = stds(i) * stds(j)
-      corr(i, j) = if (d > 0) cov(i, j) / d else (if (i == j) 1.0 else 0.0)
-    }
-    val eig = Eigen.symmetric(corr)
+    // PCA of the standardized attributes: eigenvectors of the correlation matrix.
+    val eig = Eigen.symmetric(mom.correlation)
     val total = eig.values.map(math.max(_, 0.0)).sum.max(1e-12)
 
     // Ascending order: accumulate the low-variance tail below the fraction.
@@ -90,8 +75,7 @@ object PcaSpll {
     val idx = kept.result()
     Model(
       numericCols,
-      means,
-      stds,
+      mom.standardizer,
       idx.map(eig.vector).toArray,
       idx.map(i => math.max(eig.values(i), 1e-6)).toArray,
     )

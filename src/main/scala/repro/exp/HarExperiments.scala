@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Disynth
 import repro.data.Har
-import repro.drift.WeightedPca
 import repro.linalg.Mat
 import repro.ml.LogisticRegression
 import repro.stats.Stats
@@ -89,14 +88,15 @@ object HarExperiments {
         .reduce(_ unionAll _).cache()
 
       val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
-      val wpcaModel = WeightedPca.fit(initialTrain, Har.FeatureCols)
+      // W-PCA is DISYNTH without disjunction: one global simple invariant.
+      val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
 
       (0 to Har.Persons.length).map { k =>
         val current = Har.Persons.indices.map { i =>
           val act = if (i < k) switchedActivity(i) else initialActivity(i)
           slice(i, act, train = false)
         }.reduce(_ unionAll _)
-        DriftPoint(k, Disynth.avgViolation(current, disModel), WeightedPca.drift(current, wpcaModel))
+        DriftPoint(k, Disynth.avgViolation(current, disModel), Disynth.avgViolation(current, wpcaModel))
       }
     } finally all.unpersist()
   }
@@ -111,20 +111,8 @@ object HarExperiments {
                   persons: Seq[String] = Har.Persons): (Seq[String], Mat) = {
     val all = Har.data(spark, rowsPerPersonActivity, seed)
       .filter(col("person").isin(persons: _*)).cache()
-    try {
-      val hold = Har.holdHalf(all).cache()
-      val m = Mat.zeros(persons.length, persons.length)
-      persons.zipWithIndex.foreach { case (p, i) =>
-        val model = Disynth.fit(
-          Har.trainHalf(all.filter(col("person") === p)), Har.FeatureCols, Seq("activity"))
-        val scored = Disynth.score(hold, model)
-          .groupBy(col("person")).agg(avg(col("violation")).as("v"))
-          .collect()
-          .map(r => r.getString(0) -> r.getDouble(1)).toMap
-        persons.zipWithIndex.foreach { case (q, j) => m(i, j) = scored(q) }
-      }
-      (persons, m)
-    } finally all.unpersist()
+    try (persons, heatmap(all, persons, "person", "activity"))
+    finally all.unpersist()
   }
 
   /** Fig. 7: for each activity, fit invariants (disjunctive over person) on
@@ -136,20 +124,29 @@ object HarExperiments {
   def interActivity(spark: SparkSession, rowsPerPersonActivity: Int = 120, seed: Long = 7)
       : (Seq[String], Mat) = {
     val all = Har.data(spark, rowsPerPersonActivity, seed).cache()
+    try (Har.Activities, heatmap(all, Har.Activities, "activity", "person"))
+    finally all.unpersist()
+  }
+
+  /** The Figs. 6/7 loop: for each value of `rowCol`, fit invariants
+    * (disjunctive over `partCol`) on the train half of its rows, score the
+    * held-out half of `all`, and average the violation per `rowCol` value.
+    * Cell (i, j) is the violation of `labels(j)`'s data against
+    * `labels(i)`'s invariants.
+    */
+  private def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
+    val hold = Har.holdHalf(all).cache()
     try {
-      val hold = Har.holdHalf(all).cache()
-      val acts = Har.Activities
-      val m = Mat.zeros(acts.length, acts.length)
-      acts.zipWithIndex.foreach { case (a, i) =>
-        val model = Disynth.fit(
-          Har.trainHalf(all.filter(col("activity") === a)), Har.FeatureCols, Seq("person"))
+      val m = Mat.zeros(labels.length, labels.length)
+      labels.zipWithIndex.foreach { case (l, i) =>
+        val model = Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol))
         val scored = Disynth.score(hold, model)
-          .groupBy(col("activity")).agg(avg(col("violation")).as("v"))
+          .groupBy(col(rowCol)).agg(avg(col("violation")))
           .collect()
           .map(r => r.getString(0) -> r.getDouble(1)).toMap
-        acts.zipWithIndex.foreach { case (b, j) => m(i, j) = scored(b) }
+        labels.zipWithIndex.foreach { case (q, j) => m(i, j) = scored(q) }
       }
-      (acts, m)
-    } finally all.unpersist()
+      m
+    } finally hold.unpersist()
   }
 }

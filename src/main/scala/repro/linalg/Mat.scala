@@ -23,14 +23,6 @@ final case class Mat(rows: Int, cols: Int, data: Array[Double]) {
   /** Deep copy. */
   def copy(): Mat = Mat(rows, cols, data.clone())
 
-  /** Matrix transpose. */
-  def t: Mat = {
-    val out = Mat.zeros(cols, rows)
-    var i = 0
-    while (i < rows) { var j = 0; while (j < cols) { out(j, i) = this(i, j); j += 1 }; i += 1 }
-    out
-  }
-
   /** Matrix-vector product. */
   def *(v: Array[Double]): Array[Double] = {
     require(v.length == cols, s"Mat*vec: $cols != ${v.length}")
@@ -40,23 +32,6 @@ final case class Mat(rows: Int, cols: Int, data: Array[Double]) {
       var s = 0.0; var j = 0
       while (j < cols) { s += this(i, j) * v(j); j += 1 }
       out(i) = s; i += 1
-    }
-    out
-  }
-
-  /** Matrix-matrix product. */
-  def *(o: Mat): Mat = {
-    require(cols == o.rows, s"Mat*Mat: $cols != ${o.rows}")
-    val out = Mat.zeros(rows, o.cols)
-    var i = 0
-    while (i < rows) {
-      var k = 0
-      while (k < cols) {
-        val a = this(i, k)
-        if (a != 0.0) { var j = 0; while (j < o.cols) { out(i, j) += a * o(k, j); j += 1 } }
-        k += 1
-      }
-      i += 1
     }
     out
   }
@@ -94,12 +69,6 @@ object Mat {
     val m = zeros(n, n); var i = 0; while (i < n) { m(i, i) = 1.0; i += 1 }; m
   }
 
-  /** Build from a row-of-rows literal (rows must be equal length). */
-  def fromRows(rws: Seq[Seq[Double]]): Mat = {
-    require(rws.nonEmpty && rws.forall(_.length == rws.head.length), "ragged rows")
-    Mat(rws.length, rws.head.length, rws.flatten.toArray)
-  }
-
   /** Dot product. */
   def dot(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, "dot: length mismatch")
@@ -113,10 +82,4 @@ object Mat {
 
   /** a scaled by s into a new array. */
   def scale(a: Array[Double], s: Double): Array[Double] = a.map(_ * s)
-
-  /** Element-wise a + s*b. */
-  def axpy(a: Array[Double], b: Array[Double], s: Double): Array[Double] = {
-    require(a.length == b.length, "axpy: length mismatch")
-    Array.tabulate(a.length)(i => a(i) + s * b(i))
-  }
 }

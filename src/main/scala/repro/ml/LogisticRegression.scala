@@ -2,7 +2,7 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.stats.Moments
+import repro.stats.{Moments, Standardizer}
 
 /** Multiclass (softmax) logistic regression — the classifier substrate the
   * HAR experiments need (person identification, Fig. 5(a)).
@@ -21,29 +21,24 @@ object LogisticRegression {
     *
     * @param features feature column names (model ordering)
     * @param labels   class labels; row k of `weights` scores `labels(k)`
-    * @param means    per-feature training means (standardization)
-    * @param stds     per-feature training stds (0 → passthrough)
+    * @param z        standardization by the training means and stds
     * @param weights  K×(m+1) parameter matrix, column 0 = bias
     */
   final case class Model(
       features: Seq[String],
       labels: Seq[String],
-      means: Array[Double],
-      stds: Array[Double],
+      z: Standardizer,
       weights: Array[Array[Double]],
   ) extends Serializable {
 
-    private def standardize(x: Array[Double]): Array[Double] =
-      Array.tabulate(x.length)(i => if (stds(i) > 0) (x(i) - means(i)) / stds(i) else x(i) - means(i))
-
     /** Predicted label for a raw (unstandardized) feature vector. */
     def predict(x: Array[Double]): String = {
-      val z = standardize(x)
+      val zx = z(x)
       var best = 0; var bestScore = Double.NegativeInfinity
       var k = 0
       while (k < labels.length) {
         var s = weights(k)(0); var i = 0
-        while (i < z.length) { s += weights(k)(i + 1) * z(i); i += 1 }
+        while (i < zx.length) { s += weights(k)(i + 1) * zx(i); i += 1 }
         if (s > bestScore) { bestScore = s; best = k }
         k += 1
       }
@@ -80,12 +75,7 @@ object LogisticRegression {
       l2: Double = 1e-4,
   ): Model = {
     require(features.nonEmpty, "LogisticRegression.fit: no features")
-    val mom = Moments.of(df, features)
-    val means = mom.means
-    val stds = features.indices.map { i =>
-      val unit = Array.tabulate(features.length)(j => if (j == i) 1.0 else 0.0)
-      mom.stdOf(unit)
-    }.toArray
+    val z = Moments.of(df, features).standardizer
 
     val arr = array(features.map(c => col(c).cast("double")): _*)
     val rows = df
@@ -98,9 +88,7 @@ object LogisticRegression {
     val labels = rows.map(_._1).distinct.sorted.toSeq
     val labelIdx = labels.zipWithIndex.toMap
     val m = features.length
-    val x = rows.map { case (_, raw) =>
-      Array.tabulate(m)(i => if (stds(i) > 0) (raw(i) - means(i)) / stds(i) else raw(i) - means(i))
-    }
+    val x = rows.map { case (_, raw) => z(raw) }
     val y = rows.map(r => labelIdx(r._1))
     val nK = labels.length
     val n = rows.length
@@ -149,6 +137,6 @@ object LogisticRegression {
       }
       it += 1
     }
-    Model(features, labels, means, stds, w)
+    Model(features, labels, z, w)
   }
 }

@@ -51,6 +51,34 @@ final case class Moments(n: Long, cols: Seq[String], sums: Array[Double], gram: 
   /** Population standard deviation of the linear form wᵀx. */
   def stdOf(w: Array[Double]): Double = math.sqrt(varianceOf(w))
 
+  /** Population standard deviation of each column: `stdOf` of the unit
+    * vector eᵢ, written out (the zero terms of its dot products drop away,
+    * so the two agree bit for bit on finite moments).
+    */
+  def stds: Array[Double] = {
+    val mu = means
+    Array.tabulate(cols.length)(i => math.sqrt(math.max(0.0, gram(i, i) / math.max(n, 1L) - mu(i) * mu(i))))
+  }
+
+  /** Z-scorer with these means and [[stds]]. */
+  def standardizer: Standardizer = Standardizer(means, stds)
+
+  /** Correlation matrix: the covariance of the standardized columns. A
+    * column with σ = 0 has unit self-correlation and 0 correlation with
+    * every other column.
+    */
+  def correlation: Mat = {
+    val m = cols.length
+    val cov = covariance
+    val s = stds
+    val out = Mat.zeros(m, m)
+    for (i <- 0 until m; j <- 0 until m) {
+      val d = s(i) * s(j)
+      out(i, j) = if (d > 0) cov(i, j) / d else if (i == j) 1.0 else 0.0
+    }
+    out
+  }
+
   /** Population covariance matrix (Gram/n − μμᵀ). */
   def covariance: Mat = {
     val m = cols.length

@@ -2,6 +2,7 @@ package repro.drift
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.Disynth
 
 class DriftBaselinesSpec extends SparkSpec {
 
@@ -103,13 +104,13 @@ class DriftBaselinesSpec extends SparkSpec {
     assert(rotated < 0.2, s"rotated=$rotated")
   }
 
-  // ---------------- W-PCA wrapper ----------------
+  // ---------------- W-PCA ----------------
 
   test("W-PCA is Disynth without partitions: flags global drift") {
     val ref = gauss(2000, 0, 0, 1, 23)
-    val model = WeightedPca.fit(ref, Seq("x", "y"))
+    val model = Disynth.fit(ref, Seq("x", "y"))
     assert(model.disjunctive.isEmpty)
-    assert(WeightedPca.drift(gauss(1000, 0, 0, 1, 24), model) < 0.02)
-    assert(WeightedPca.drift(gauss(1000, 10, 10, 1, 25), model) > 0.3)
+    assert(Disynth.avgViolation(gauss(1000, 0, 0, 1, 24), model) < 0.02)
+    assert(Disynth.avgViolation(gauss(1000, 10, 10, 1, 25), model) > 0.3)
   }
 }

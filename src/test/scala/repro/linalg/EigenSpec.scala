@@ -3,6 +3,7 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropCheck
+import repro.linalg.MatOps._
 
 class EigenSpec extends AnyFunSuite with PropCheck {
 
@@ -16,7 +17,7 @@ class EigenSpec extends AnyFunSuite with PropCheck {
     }
 
   test("diagonal matrix: eigenvalues are the diagonal, sorted ascending") {
-    val m = Mat.fromRows(Seq(Seq(3.0, 0.0, 0.0), Seq(0.0, 1.0, 0.0), Seq(0.0, 0.0, 2.0)))
+    val m = MatOps.fromRows(Seq(Seq(3.0, 0.0, 0.0), Seq(0.0, 1.0, 0.0), Seq(0.0, 0.0, 2.0)))
     val e = Eigen.symmetric(m)
     assert(e.values.toSeq.map(v => math.round(v).toInt) == Seq(1, 2, 3))
   }
@@ -27,13 +28,13 @@ class EigenSpec extends AnyFunSuite with PropCheck {
   }
 
   test("known 2x2: [[2,1],[1,2]] has eigenvalues 1 and 3") {
-    val e = Eigen.symmetric(Mat.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 2.0))))
+    val e = Eigen.symmetric(MatOps.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 2.0))))
     assert(math.abs(e.values(0) - 1.0) < tol)
     assert(math.abs(e.values(1) - 3.0) < tol)
   }
 
   test("known 2x2: eigenvector of smallest eigenvalue is (1,-1)/√2 up to sign") {
-    val e = Eigen.symmetric(Mat.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 2.0))))
+    val e = Eigen.symmetric(MatOps.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 2.0))))
     val v = e.vector(0)
     assert(math.abs(math.abs(v(0)) - 1 / math.sqrt(2)) < tol)
     assert(math.abs(v(0) + v(1)) < tol) // opposite signs
@@ -106,7 +107,7 @@ class EigenSpec extends AnyFunSuite with PropCheck {
   }
 
   test("asymmetric input is rejected") {
-    val m = Mat.fromRows(Seq(Seq(1.0, 2.0), Seq(3.0, 1.0)))
+    val m = MatOps.fromRows(Seq(Seq(1.0, 2.0), Seq(3.0, 1.0)))
     intercept[IllegalArgumentException](Eigen.symmetric(m))
   }
 
@@ -121,7 +122,7 @@ class EigenSpec extends AnyFunSuite with PropCheck {
 
   test("handles large-magnitude Gram matrices (airlines scale)") {
     // Entries ~1e12 as produced by 600k rows of minute-of-day squared sums.
-    val base = Mat.fromRows(Seq(Seq(4.0, 1.0, 0.5), Seq(1.0, 3.0, 0.2), Seq(0.5, 0.2, 2.0)))
+    val base = MatOps.fromRows(Seq(Seq(4.0, 1.0, 0.5), Seq(1.0, 3.0, 0.2), Seq(0.5, 0.2, 2.0)))
     val scaled = Mat(3, 3, base.data.map(_ * 1e12))
     val e = Eigen.symmetric(scaled)
     val e0 = Eigen.symmetric(base)

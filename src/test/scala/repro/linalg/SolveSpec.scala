@@ -7,7 +7,7 @@ import repro.PropCheck
 class SolveSpec extends AnyFunSuite with PropCheck {
 
   test("solves a known 2x2 system") {
-    val a = Mat.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 3.0)))
+    val a = MatOps.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 3.0)))
     val x = Solve.solve(a, Array(5.0, 10.0))
     assert(math.abs(x(0) - 1.0) < 1e-10 && math.abs(x(1) - 3.0) < 1e-10)
   }
@@ -18,7 +18,7 @@ class SolveSpec extends AnyFunSuite with PropCheck {
   }
 
   test("partial pivoting handles zero leading pivot") {
-    val a = Mat.fromRows(Seq(Seq(0.0, 1.0), Seq(1.0, 0.0)))
+    val a = MatOps.fromRows(Seq(Seq(0.0, 1.0), Seq(1.0, 0.0)))
     val x = Solve.solve(a, Array(2.0, 3.0))
     assert(math.abs(x(0) - 3.0) < 1e-12 && math.abs(x(1) - 2.0) < 1e-12)
   }
@@ -41,12 +41,12 @@ class SolveSpec extends AnyFunSuite with PropCheck {
   }
 
   test("singular matrix without ridge is rejected") {
-    val a = Mat.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 4.0)))
+    val a = MatOps.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 4.0)))
     intercept[IllegalArgumentException](Solve.solve(a, Array(1.0, 2.0)))
   }
 
   test("ridge makes a singular system solvable") {
-    val a = Mat.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 4.0)))
+    val a = MatOps.fromRows(Seq(Seq(1.0, 2.0), Seq(2.0, 4.0)))
     val x = Solve.solve(a, Array(1.0, 2.0), ridge = 1e-6)
     // Solution approximately satisfies the (consistent) system.
     val r = a * x
@@ -55,7 +55,7 @@ class SolveSpec extends AnyFunSuite with PropCheck {
 
   test("ridge solution of a collinear system spreads weight (minimum-norm flavour)") {
     // x1 == x2 columns: any (w1, w2) with w1+w2=1 fits; ridge picks ~(0.5, 0.5).
-    val a = Mat.fromRows(Seq(Seq(2.0, 2.0), Seq(2.0, 2.0)))
+    val a = MatOps.fromRows(Seq(Seq(2.0, 2.0), Seq(2.0, 2.0)))
     val x = Solve.solve(a, Array(2.0, 2.0), ridge = 1e-9)
     assert(math.abs(x(0) - 0.5) < 1e-3 && math.abs(x(1) - 0.5) < 1e-3)
   }
@@ -66,7 +66,7 @@ class SolveSpec extends AnyFunSuite with PropCheck {
   }
 
   test("solve does not mutate its inputs") {
-    val a = Mat.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 3.0)))
+    val a = MatOps.fromRows(Seq(Seq(2.0, 1.0), Seq(1.0, 3.0)))
     val b = Array(5.0, 10.0)
     val aCopy = a.copy(); val bCopy = b.clone()
     Solve.solve(a, b)

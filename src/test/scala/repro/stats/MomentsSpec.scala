@@ -75,6 +75,52 @@ class MomentsSpec extends SparkSpec {
     assert(math.abs(mom.meanOf(w) - expected) < 1e-6 * (1 + math.abs(expected)))
   }
 
+  private def unit(m: Int, i: Int): Array[Double] = Array.tabulate(m)(j => if (j == i) 1.0 else 0.0)
+
+  /** Moments of (a, b, c) where b is constant and c = 2a − 1 + noise. */
+  private lazy val withConstant = {
+    import spark.implicits._
+    val rnd = new scala.util.Random(5)
+    val df = (1 to 200).map { _ =>
+      val a = 100 + rnd.nextGaussian(); (a, 7.25, 2 * a - 1 + rnd.nextGaussian() * 0.1)
+    }.toDF("a", "b", "c")
+    Moments.of(df, Seq("a", "b", "c"))
+  }
+
+  test("stds equal stdOf of each unit vector bit for bit") {
+    for (mo <- Seq(mom, withConstant); i <- mo.cols.indices) {
+      val want = mo.stdOf(unit(mo.cols.length, i))
+      assert(java.lang.Double.doubleToRawLongBits(mo.stds(i)) == java.lang.Double.doubleToRawLongBits(want),
+        s"${mo.cols(i)}: ${mo.stds(i)} vs $want")
+    }
+    assert(withConstant.stds(1) == 0.0)
+  }
+
+  test("correlation: unit diagonal, symmetric, a constant column correlates with nothing") {
+    for (mo <- Seq(mom, withConstant)) {
+      val r = mo.correlation
+      for (i <- mo.cols.indices) {
+        assert(math.abs(r(i, i) - 1.0) < 1e-12, s"diagonal $i: ${r(i, i)}")
+        for (j <- mo.cols.indices) assert(r(i, j) == r(j, i))
+      }
+    }
+    val r = withConstant.correlation
+    assert(r(1, 1) == 1.0)
+    for (j <- Seq(0, 2)) assert(r(1, j) == 0.0 && r(j, 1) == 0.0)
+    assert(r(0, 2) > 0.99)
+  }
+
+  test("the standardizer z-scores each column and only centres a constant one") {
+    val z = withConstant.standardizer
+    val (mu, sd) = (withConstant.means, withConstant.stds)
+    val x = Array(101.0, 9.25, 200.0)
+    val zx = z(x)
+    assert(zx(0) == (101.0 - mu(0)) / sd(0) && zx(2) == (200.0 - mu(2)) / sd(2))
+    assert(zx(1) == 9.25 - mu(1) && zx(1) == 2.0)
+    // Training means map to 0.
+    assert(z(mu).forall(_ == 0.0))
+  }
+
   test("covariance diagonal equals variances and matches covar_pop off-diagonal") {
     val cov = mom.covariance
     assert(math.abs(cov(0, 0) - mom.varianceOf(Array(1.0, 0.0, 0.0))) < 1e-8)
