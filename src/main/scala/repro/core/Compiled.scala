@@ -65,12 +65,19 @@ final class CompiledSimple private (
   /** The violation after attribute `j` moves by `delta`, from the current
     * projections `f`: each F_k shifts by w_kj·delta, so this is O(K). Exact
     * up to rounding in the shift.
+    *
+    * Summing stops as soon as the partial sum reaches `cap`. This is exact
+    * for a caller that only asks whether the violation is strictly below a
+    * `cap` ≤ 1: every term γ_k·η(·) is ≥ 0 (the factory rejects a negative
+    * γ or α), rounded prefix sums of non-negative terms never decrease, and
+    * `clamp` is monotone, so the full violation would be ≥ `cap` too, and so
+    * is the value returned. With `cap = +∞` the result is the full violation.
     */
-  def violationShifted(f: Array[Double], j: Int, delta: Double): Double =
+  def violationShifted(f: Array[Double], j: Int, delta: Double, cap: Double): Double =
     if (k == 0) 1.0
     else {
       var s = 0.0; var c = 0
-      while (c < k) { s += term(c, f(c) + w(c * m + j) * delta); c += 1 }
+      while (c < k && s < cap) { s += term(c, f(c) + w(c * m + j) * delta); c += 1 }
       clamp(s)
     }
 }
@@ -85,6 +92,9 @@ object CompiledSimple {
       require(wc.length == m, s"CompiledSimple: projection over ${wc.length} attributes, model has $m")
       System.arraycopy(wc, 0, w, c * m, m)
     }
+    // No negative γ or α keeps every conjunct term ≥ 0 (or NaN), which the
+    // early stop of violationShifted relies on; Algorithm 1 only makes such.
+    require(!cs.exists(bp => bp.gamma < 0 || bp.alpha < 0), "CompiledSimple: negative γ or α")
     new CompiledSimple(cs.length, m, w, cs.map(_.lb), cs.map(_.ub), cs.map(_.alpha), cs.map(_.gamma), fs.means)
   }
 }

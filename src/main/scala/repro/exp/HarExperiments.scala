@@ -28,32 +28,33 @@ object HarExperiments {
       fractions: Seq[Double] = Seq(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
       seed: Long = 7,
   ): MixResult = {
-    val all = Har.data(spark, rowsPerPersonActivity, seed).cache()
-    try {
+    withCached(Har.data(spark, rowsPerPersonActivity, seed)) { all =>
       val sedentary = all.filter(col("activity").isin(Har.Sedentary: _*))
-      val mobile = all.filter(col("activity").isin(Har.Mobile: _*)).cache()
-      val trainX = Har.trainHalf(sedentary).cache()
-      val holdSed = Har.holdHalf(sedentary).cache()
+      withCached(all.filter(col("activity").isin(Har.Mobile: _*))) { mobile =>
+        withCached(Har.trainHalf(sedentary)) { trainX =>
+          withCached(Har.holdHalf(sedentary)) { holdSed =>
+            val inv = Disynth.fit(trainX, Har.FeatureCols, Seq("activity"))
+            val clf = LogisticRegression.fit(trainX, Har.FeatureCols, "person")
+            val baseAcc = clf.accuracy(holdSed, "person")
 
-      val inv = Disynth.fit(trainX, Har.FeatureCols, Seq("activity"))
-      val clf = LogisticRegression.fit(trainX, Har.FeatureCols, "person")
-      val baseAcc = clf.accuracy(holdSed, "person")
+            val nSed = holdSed.count().toDouble
+            val nMob = mobile.count().toDouble
+            val testSize = math.min(nSed, nMob)
 
-      val nSed = holdSed.count().toDouble
-      val nMob = mobile.count().toDouble
-      val testSize = math.min(nSed, nMob)
-
-      val points = fractions.map { f =>
-        val sedRate = math.min(1.0, (1 - f) * testSize / nSed)
-        val mobRate = math.min(1.0, f * testSize / nMob)
-        val test =
-          holdSed.sample(withReplacement = false, sedRate, seed + (f * 100).toLong)
-            .unionAll(mobile.sample(withReplacement = false, mobRate, seed + 1 + (f * 100).toLong))
-        MixPoint(f, Disynth.avgViolation(test, inv), baseAcc - clf.accuracy(test, "person"))
+            val points = fractions.map { f =>
+              val sedRate = math.min(1.0, (1 - f) * testSize / nSed)
+              val mobRate = math.min(1.0, f * testSize / nMob)
+              val test =
+                holdSed.sample(withReplacement = false, sedRate, seed + (f * 100).toLong)
+                  .unionAll(mobile.sample(withReplacement = false, mobRate, seed + 1 + (f * 100).toLong))
+              MixPoint(f, Disynth.avgViolation(test, inv), baseAcc - clf.accuracy(test, "person"))
+            }
+            val pcc = Stats.pearson(points.map(_.avgViolation), points.map(_.accuracyDrop))
+            MixResult(points, pcc)
+          }
+        }
       }
-      val pcc = Stats.pearson(points.map(_.avgViolation), points.map(_.accuracyDrop))
-      MixResult(points, pcc)
-    } finally all.unpersist()
+    }
   }
 
   /** Activity each person performs initially (Fig. 5(b)): cyclic over an
@@ -78,27 +79,35 @@ object HarExperiments {
       rowsPerPersonActivity: Int = 120,
       seed: Long = 7,
   ): Seq[DriftPoint] = {
-    val all = Har.data(spark, rowsPerPersonActivity, seed).cache()
-    try {
+    withCached(Har.data(spark, rowsPerPersonActivity, seed)) { all =>
       def slice(personIdx: Int, activity: String, train: Boolean): DataFrame = {
         val base = all.filter(col("person") === Har.Persons(personIdx) && col("activity") === activity)
         if (train) Har.trainHalf(base) else Har.holdHalf(base)
       }
-      val initialTrain = Har.Persons.indices.map(i => slice(i, initialActivity(i), train = true))
-        .reduce(_ unionAll _).cache()
+      val initial = Har.Persons.indices.map(i => slice(i, initialActivity(i), train = true)).reduce(_ unionAll _)
+      withCached(initial) { initialTrain =>
+        val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
+        // W-PCA is DISYNTH without disjunction: one global simple invariant.
+        val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
 
-      val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
-      // W-PCA is DISYNTH without disjunction: one global simple invariant.
-      val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
-
-      (0 to Har.Persons.length).map { k =>
-        val current = Har.Persons.indices.map { i =>
-          val act = if (i < k) switchedActivity(i) else initialActivity(i)
-          slice(i, act, train = false)
-        }.reduce(_ unionAll _)
-        DriftPoint(k, Disynth.avgViolation(current, disModel), Disynth.avgViolation(current, wpcaModel))
+        (0 to Har.Persons.length).map { k =>
+          val current = Har.Persons.indices.map { i =>
+            val act = if (i < k) switchedActivity(i) else initialActivity(i)
+            slice(i, act, train = false)
+          }.reduce(_ unionAll _)
+          DriftPoint(k, Disynth.avgViolation(current, disModel), Disynth.avgViolation(current, wpcaModel))
+        }
       }
-    } finally all.unpersist()
+    }
+  }
+
+  /** Runs `body` on `df` cached, and unpersists it afterwards, also when
+    * `body` throws. Nested calls unpersist derived frames before the frames
+    * they are built on.
+    */
+  private def withCached[T](df: DataFrame)(body: DataFrame => T): T = {
+    val cached = df.cache()
+    try body(cached) finally cached.unpersist()
   }
 
   /** Fig. 6: for each person, fit disjunctive (per-activity) invariants on
@@ -109,10 +118,9 @@ object HarExperiments {
     */
   def interPerson(spark: SparkSession, rowsPerPersonActivity: Int = 120, seed: Long = 7,
                   persons: Seq[String] = Har.Persons): (Seq[String], Mat) = {
-    val all = Har.data(spark, rowsPerPersonActivity, seed)
-      .filter(col("person").isin(persons: _*)).cache()
-    try (persons, heatmap(all, persons, "person", "activity"))
-    finally all.unpersist()
+    withCached(Har.data(spark, rowsPerPersonActivity, seed).filter(col("person").isin(persons: _*))) { all =>
+      (persons, heatmap(all, persons, "person", "activity"))
+    }
   }
 
   /** Fig. 7: for each activity, fit invariants (disjunctive over person) on
@@ -123,9 +131,9 @@ object HarExperiments {
     */
   def interActivity(spark: SparkSession, rowsPerPersonActivity: Int = 120, seed: Long = 7)
       : (Seq[String], Mat) = {
-    val all = Har.data(spark, rowsPerPersonActivity, seed).cache()
-    try (Har.Activities, heatmap(all, Har.Activities, "activity", "person"))
-    finally all.unpersist()
+    withCached(Har.data(spark, rowsPerPersonActivity, seed)) { all =>
+      (Har.Activities, heatmap(all, Har.Activities, "activity", "person"))
+    }
   }
 
   /** The Figs. 6/7 loop: for each value of `rowCol`, fit invariants
@@ -135,8 +143,7 @@ object HarExperiments {
     * `labels(i)`'s invariants.
     */
   private def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
-    val hold = Har.holdHalf(all).cache()
-    try {
+    withCached(Har.holdHalf(all)) { hold =>
       val m = Mat.zeros(labels.length, labels.length)
       labels.zipWithIndex.foreach { case (l, i) =>
         val model = Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol))
@@ -147,6 +154,6 @@ object HarExperiments {
         labels.zipWithIndex.foreach { case (q, j) => m(i, j) = scored(q) }
       }
       m
-    } finally hold.unpersist()
+    }
   }
 }

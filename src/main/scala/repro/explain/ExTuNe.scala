@@ -13,7 +13,9 @@ import repro.core.{CompiledModel, ConformanceModel, Disynth}
   * substituted before the tuple conforms; (3) responsibility(Aᵢ) = 1/(K+1).
   * Finding the minimum K is combinatorial, so we use the natural greedy
   * construction: repeatedly substitute the attribute that reduces the
-  * violation most. Responsibilities are averaged over the test set.
+  * violation most. Trials that can no longer beat a round's best stop
+  * early when the tuple falls in one component, without changing any
+  * result. Responsibilities are averaged over the test set.
   */
 object ExTuNe {
 
@@ -48,6 +50,12 @@ object ExTuNe {
     * scratch, since such a value does not cancel out incrementally. Trials
     * run in ascending attribute order and only a strictly lower violation
     * replaces the best, so ties go to the lowest index.
+    *
+    * With one component (A = 1), an incremental trial stops summing conjunct
+    * terms once it cannot score strictly below the round's best, `bestV`;
+    * such a trial could not have won, so the results do not change (see
+    * [[repro.core.CompiledSimple.violationShifted]]). With A > 1 components
+    * every trial sums all its terms.
     */
   private def responsibility(model: CompiledModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
     val m = x.length
@@ -68,13 +76,15 @@ object ExTuNe {
       }
       s / comps.length
     }
-    def trial(j: Int, incremental: Boolean): Double =
+    // The violation of substituting j, or, once it reaches cap, a value
+    // that is still ≥ cap.
+    def trial(j: Int, incremental: Boolean, cap: Double): Double =
       if (incremental) {
         val delta = target(j) - t(j)
         var s = 0.0; var a = 0
         while (a < comps.length) {
           val c = comps(a)
-          s += (if (c == null) 1.0 else c.violationShifted(f(a), j, delta))
+          s += (if (c == null) 1.0 else c.violationShifted(f(a), j, delta, cap))
           a += 1
         }
         s / comps.length
@@ -102,7 +112,7 @@ object ExTuNe {
         var j = 0
         while (j < m) {
           if (!done(j)) {
-            val vj = trial(j, incremental)
+            val vj = trial(j, incremental, if (comps.length == 1) bestV else Double.PositiveInfinity)
             if (vj < bestV) { bestV = vj; bestJ = j }
           }
           j += 1
@@ -124,9 +134,9 @@ object ExTuNe {
     *
     * @param maxTuples cap on tuples analysed — the greedy repair makes up to
     *                  m starts × m rounds × m trials per tuple, each trial
-    *                  O(K) on the compiled model (O(m³·K) in the worst
-    *                  case), so explanation runs on a sample, as in the
-    *                  ExTuNe demo
+    *                  at most O(K) on the compiled model (O(m³·K) in the
+    *                  worst case), so explanation runs on a sample, as in
+    *                  the ExTuNe demo
     * @return attribute name → mean responsibility, in model column order
     */
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {

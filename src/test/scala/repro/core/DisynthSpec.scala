@@ -1,9 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{JobCounts, SparkSpec}
 
-class DisynthSpec extends SparkSpec {
+class DisynthSpec extends SparkSpec with JobCounts {
 
   import spark.implicits._
 
@@ -243,5 +243,15 @@ class DisynthSpec extends SparkSpec {
     val twice = Disynth.fit(df.union(df), Seq("a", "b", "c"), Seq("g"))
     assert(twice.global.n == 2 * once.global.n)
     assertSameModel(once, twice, 1e-6)
+  }
+
+  test("score followed by one aggregate runs two jobs of one stage each on a cached frame") {
+    val df = linearData(400).repartition(4).cache()
+    try {
+      df.count()
+      val model = Disynth.fit(df, Seq("a", "b", "c"))
+      // AQE runs the partial aggregate's shuffle map stage as its own job.
+      assert(jobsAndStages(Disynth.avgViolation(df, model)) == (2, 2))
+    } finally df.unpersist()
   }
 }

@@ -1,38 +1,15 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
-import repro.SparkSpec
+import repro.{JobCounts, SparkSpec}
 import repro.stats.Moments
 
 /** Spark jobs per fit, counted by a listener. Counts are deterministic, so
   * they are asserted exactly: on a cached frame, the moments scan, `fit` and
   * `autoFit` each run one job of one stage (no shuffle).
   */
-class FitJobCountSpec extends SparkSpec {
+class FitJobCountSpec extends SparkSpec with JobCounts {
 
   import spark.implicits._
-
-  /** Jobs and stages `body` runs; stages skipped because their output is
-    * cached are not run, so a second stage means a shuffle.
-    */
-  private def jobsAndStages(body: => Unit): (Int, Int) = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val stages = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
-    }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try {
-      body
-      ListenerBusAccess.drain(sc)
-    } finally sc.removeSparkListener(listener)
-    (jobs.get, stages.get)
-  }
 
   private lazy val cached = {
     val rnd = new scala.util.Random(5)

@@ -1,10 +1,10 @@
 package repro.explain
 
 import scala.util.Random
-import repro.SparkSpec
+import repro.{JobCounts, SparkSpec}
 import repro.core._
 
-class ExTuNeSpec extends SparkSpec {
+class ExTuNeSpec extends SparkSpec with JobCounts {
 
   import spark.implicits._
 
@@ -137,5 +137,108 @@ class ExTuNeSpec extends SparkSpec {
     val x = Array(5.0, 5.0, 5.0, 5.0)
     assert(ExTuNe.tupleResponsibility(model, Map.empty, x).toSeq == Seq(0.25, 0.25, 0.25, 0.25))
     assert(GreedyOracle.tupleResponsibility(model, Map.empty, x).toSeq == Seq(0.25, 0.25, 0.25, 0.25))
+  }
+
+  /** A model whose disjunctive attributes `d0`, `d1`, … each have keys "a"
+    * and "b", where key c's branch of every attribute is fitted on c's
+    * source (separate draws). A tuple of that source is then close to all
+    * of its components at once, so every component can reach 0.
+    */
+  private def sharedSourceModel(rnd: Random, m: Int, nAttrs: Int)
+      : (ConformanceModel, Map[String, RandomModels.Source]) = {
+    val cols = (0 until m).map(i => s"x$i")
+    val sources = Seq("a", "b").map(_ -> RandomModels.source(rnd, m)).toMap
+    val disjunctive = (0 until nAttrs).map { a =>
+      DisjunctiveInvariant(s"d$a", Seq("a", "b").map(c => c -> RandomModels.fitted(rnd, sources(c), cols)).toMap)
+    }
+    (ConformanceModel(cols, RandomModels.fitted(rnd, sources("a"), cols), disjunctive), sources)
+  }
+
+  test("responsibilities equal the naive greedy on larger models with one or two disjunctive attributes") {
+    var multiRound, twoViolating = 0
+    (1 to 40).foreach { seed =>
+      val rnd = new Random(100 + seed)
+      val m = 6 + rnd.nextInt(7)
+      val nAttrs = 1 + seed % 2
+      val (model, sources) = sharedSourceModel(rnd, m, nAttrs)
+      (1 to 8).foreach { _ =>
+        val key = if (rnd.nextBoolean()) "a" else "b"
+        // The second attribute mostly agrees with the first, so both
+        // components matter; sometimes it points at the other source.
+        val pv: Map[String, Option[String]] = (0 until nAttrs).map { a =>
+          s"d$a" -> Some(if (a == 0 || rnd.nextInt(4) > 0) key else if (key == "a") "b" else "a")
+        }.toMap
+        val x = sources(key).draw(rnd)
+        rnd.shuffle((0 until m).toList).take(1 + rnd.nextInt(4))
+          .foreach(i => x(i) += rnd.between(5.0, 40.0) * (if (rnd.nextBoolean()) 1 else -1))
+
+        val got = ExTuNe.tupleResponsibility(model, pv, x)
+        val want = GreedyOracle.tupleResponsibility(model, pv, x)
+        assert(got.map(java.lang.Double.doubleToRawLongBits).sameElements(want.map(java.lang.Double.doubleToRawLongBits)),
+          s"seed $seed m $m pv $pv x ${x.toSeq}: got ${got.toSeq}, want ${want.toSeq}")
+        if (got.exists(r => r > 0 && r < 1.0 / 3)) multiRound += 1
+        if (nAttrs == 2 && Reference.violation(model, pv, x) > ExTuNe.ConformEps) twoViolating += 1
+      }
+    }
+    assert(multiRound > 0 && twoViolating > 0, s"coverage: multiRound $multiRound twoViolating $twoViolating")
+  }
+
+  test("two shifts a branch weighs with opposite signs: the long repair equals the naive greedy") {
+    // x0 and x1 follow their own latent factor almost exactly, so the
+    // branch holds a tight conjunct that weighs them with opposite signs.
+    // Both move by +30 together: substituting either one alone breaks that
+    // conjunct, so a repair that starts at a bystander first walks through
+    // every other bystander, whose trials leave the violation as is, and
+    // needs all m − 1 fixes (1/m). x0 and x1 each need only the other (1/2).
+    val m = 8
+    val cols = (0 until m).map(i => s"x$i")
+    val mix = Array.tabulate(m, 4)((i, r) => if (r == (if (i < 2) 0 else 1 + i % 3)) 1.0 else 0.0)
+    val noise = Array.tabulate(m)(i => if (i < 2) 0.01 else 0.5)
+    val src = RandomModels.Source(Array.tabulate(m)(i => 10.0 * i), mix, noise)
+    val rnd = new Random(7)
+    val branch = RandomModels.fitted(rnd, src, cols, n = 400)
+    val model = ConformanceModel(cols, branch, Seq(DisjunctiveInvariant("g", Map("hi" -> branch))))
+    val pv = Map("g" -> Some("hi"))
+    (1 to 5).foreach { _ =>
+      val x = src.draw(rnd)
+      x(0) += 30.0; x(1) += 30.0
+      val got = ExTuNe.tupleResponsibility(model, pv, x)
+      assert(got.sameElements(GreedyOracle.tupleResponsibility(model, pv, x)), s"got ${got.toSeq}")
+      assert(got(0) == 0.5 && got(1) == 0.5 && got.drop(2).forall(_ == 1.0 / m), s"got ${got.toSeq}")
+    }
+  }
+
+  test("two later trials both reach violation 0: the lowest index is substituted") {
+    // One conjunct F = q + r + s within ±1 (α = 1), means 0, tuple
+    // (p, q, r, s) = (3, −5, 5, 5). Starting from p, the first trial (q)
+    // gives F = 10, then r and s each give F = 0: r, the lower index, must
+    // win although s ties it at 0, and p needs one more fix (1/2). From q,
+    // r and s tie at η(4); r is taken, then s conforms (1/3). r and s alone
+    // conform (1). With two identical components the trials are the same.
+    val bp = BoundedProjection(LinearProjection(Array(0.0, 1.0, 1.0, 1.0)), -1.0, 1.0,
+      alpha = 1.0, gamma = 1.0, mean = 0.0, std = 0.25)
+    val fs = FittedSimple(SimpleInvariant(Seq(bp)), Array(0.0, 0.0, 0.0, 0.0), 10L)
+    val cols = Seq("p", "q", "r", "s")
+    val x = Array(3.0, -5.0, 5.0, 5.0)
+    val want = Seq(0.5, 1.0 / 3, 1.0, 1.0)
+    val one = ConformanceModel(cols, fs, Nil)
+    assert(ExTuNe.tupleResponsibility(one, Map.empty, x).toSeq == want)
+    assert(GreedyOracle.tupleResponsibility(one, Map.empty, x).toSeq == want)
+    val two = ConformanceModel(cols, fs,
+      Seq(DisjunctiveInvariant("g", Map("k" -> fs)), DisjunctiveInvariant("h", Map("k" -> fs))))
+    val pv = Map("g" -> Some("k"), "h" -> Some("k"))
+    assert(ExTuNe.tupleResponsibility(two, pv, x).toSeq == want)
+    assert(GreedyOracle.tupleResponsibility(two, pv, x).toSeq == want)
+  }
+
+  test("aggregate runs one job with no shuffle stage on a cached frame") {
+    val rnd = new Random(6)
+    val df = (1 to 400).map(_ => (15.0 + rnd.nextGaussian(), rnd.nextGaussian())).toDF("a", "b")
+      .repartition(4).cache()
+    try {
+      df.count()
+      val model = Disynth.fit(train2d(), Seq("a", "b"))
+      assert(jobsAndStages(ExTuNe.aggregate(df, model)) == (1, 1))
+    } finally df.unpersist()
   }
 }
