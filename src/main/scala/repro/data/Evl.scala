@@ -102,6 +102,15 @@ object Evl {
 
   /** Generate one window of a stream.
     *
+    * The rows are a function of (`name`, `window`, `nWindows`,
+    * `pointsPerClass`, `seed`) alone, never of the master's core count or
+    * `spark.sql.leafNodeDefaultParallelism`: Spark seeds `randn(s)` with
+    * `s + partitionIndex`, so each mode is built from a single-slice range
+    * and always draws partition 0's stream. Mode `mi` of class `ci` draws x
+    * with seed `seed + 1000·window + 10·ci + 2·mi` and y with that seed + 1,
+    * so no two noise columns of a window share a seed (that holds up to 5
+    * modes per class; every stream has at most 2).
+    *
     * @param pointsPerClass tuples per class (split across a class's modes)
     * @return DataFrame with columns `cls` (string), `x`, `y`
     */
@@ -117,8 +126,8 @@ object Evl {
     val parts = centers(name, tau).zipWithIndex.flatMap { case ((cls, modes), ci) =>
       val perMode = math.max(1, pointsPerClass / modes.size)
       modes.zipWithIndex.map { case ((cx, cy), mi) =>
-        val s = seed + window * 1000 + ci * 10 + mi
-        spark.range(perMode).select(
+        val s = seed + window * 1000 + ci * 10 + 2 * mi
+        spark.range(0, perMode, 1, 1).select(
           lit(cls).as("cls"),
           (lit(cx) + randn(s) * Sigma).as("x"),
           (lit(cy) + randn(s + 1) * Sigma).as("y"))

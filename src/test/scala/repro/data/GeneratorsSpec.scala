@@ -178,6 +178,39 @@ class GeneratorsSpec extends SparkSpec {
     assert(math.abs(b.getDouble(1) - 3.0) < 0.3)
   }
 
+  test("evl: a window does not depend on how Spark slices the range") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def bits(name: String): Seq[(String, Long, Long)] =
+      Evl.window(spark, name, 3, 8, 200).collect().toSeq.map { r =>
+        (r.getString(0), java.lang.Double.doubleToRawLongBits(r.getDouble(1)),
+          java.lang.Double.doubleToRawLongBits(r.getDouble(2)))
+      }
+    val prev = spark.conf.getOption(key)
+    try {
+      Evl.Datasets.foreach { name =>
+        spark.conf.set(key, "1")
+        val one = bits(name)
+        spark.conf.set(key, "7")
+        assert(bits(name) == one, name)
+      }
+    } finally prev.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+  }
+
+  test("evl: a class's modes draw independent noise (FG-2C-2D)") {
+    val (cls, Seq((x0, y0), (x1, y1))) = Evl.centers("FG-2C-2D", 0.0).head
+    val rows = Evl.window(spark, "FG-2C-2D", 1, 10, 200)
+      .filter(col("cls") === cls).select("x", "y").collect()
+      .map(r => (r.getDouble(0), r.getDouble(1)))
+    // The modes are 8σ apart, so the nearer center names a point's mode.
+    val (mode0, mode1) = rows.partition { case (x, y) =>
+      math.hypot(x - x0, y - y0) < math.hypot(x - x1, y - y1)
+    }
+    assert(mode0.length == 100 && mode1.length == 100)
+    val xOffsets1 = mode1.map(_._1 - x1)
+    val recurring = mode0.map(_._2 - y0).count(dy => xOffsets1.exists(dx => math.abs(dx - dy) < 1e-9))
+    assert(recurring == 0, s"$recurring of mode 0's y-offsets recur among mode 1's x-offsets")
+  }
+
   test("evl: unknown dataset name is rejected") {
     intercept[IllegalArgumentException](Evl.centers("NOPE", 0.0))
   }
