@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.unsafe.types.UTF8String
+
 /** The evaluation form of a fitted model: the case-class tree of
   * [[Invariant.scala]] and [[Compound.scala]] flattened once into primitive
   * arrays, so scoring and ExTuNe's repair trials run as while-loops with no
@@ -107,19 +109,44 @@ object CompiledSimple {
 final class CompiledModel(model: ConformanceModel) extends Serializable {
   val global: CompiledSimple = CompiledSimple(model.global)
 
+  /** Numeric attributes a tuple carries. */
+  val numericCount: Int = model.numericCols.length
+
   private val attrs: Array[String] = model.partitionAttrs.toArray
 
+  /** Disjunctive attributes a tuple carries a branch index for. */
+  def partitionCount: Int = attrs.length
+
   /** Per disjunctive attribute, its case keys in sorted order. */
-  val keys: Array[Array[String]] = model.disjunctive.map(_.cases.keys.toArray.sorted).toArray
+  private val keys: Array[Array[String]] = model.disjunctive.map(_.cases.keys.toArray.sorted).toArray
 
   private val branches: Array[Array[CompiledSimple]] =
     model.disjunctive.zip(keys).map { case (d, ks) => ks.map(v => CompiledSimple(d.cases(v))) }.toArray
+
+  /** Per disjunctive attribute, key → branch index; built on first use in
+    * each deserialized copy, so it is never shipped.
+    */
+  @transient private lazy val lookup: Array[java.util.HashMap[UTF8String, Integer]] = keys.map { ks =>
+    val h = new java.util.HashMap[UTF8String, Integer](ks.length * 2)
+    ks.indices.foreach(i => h.put(UTF8String.fromString(ks(i)), i))
+    h
+  }
+
+  /** Branch index of disjunctive attribute `a`'s value `v` (−1: null or
+    * unseen).
+    */
+  def branchIndex(a: Int, v: UTF8String): Int =
+    if (v == null) -1
+    else {
+      val i = lookup(a).get(v)
+      if (i == null) -1 else i
+    }
 
   /** Branch index of each disjunctive attribute's value (−1: null, unseen
     * or absent from the map).
     */
   def branchIndexes(partVals: Map[String, Option[String]]): Array[Int] =
-    Array.tabulate(attrs.length)(a => partVals.getOrElse(attrs(a), None).fold(-1)(keys(a).indexOf(_)))
+    Array.tabulate(attrs.length)(a => branchIndex(a, UTF8String.fromString(partVals.getOrElse(attrs(a), None).orNull)))
 
   /** [[ConformanceModel.violation]]: the mean over the disjunctive
     * components in attribute order (1 for an undefined one), or the

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import scala.collection.parallel.CollectionConverters._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{avg, col}
 import org.apache.spark.sql.types.{NumericType, StringType, BooleanType}
 import repro.stats.Moments
 
@@ -16,10 +17,11 @@ import repro.stats.Moments
   * each attribute's distinct values.
   *
   * Scoring: a `DataFrame → DataFrame` transformation appending a
-  * `violation ∈ [0,1]` column, no shuffle. A deterministic UDF closes over
-  * the model's [[CompiledModel]] (flat arrays, O(m²) doubles per branch)
-  * and reads each row as a primitive numeric array plus one branch index
-  * per disjunctive attribute, which a Catalyst `array_position` computes.
+  * `violation ∈ [0,1]` column, no shuffle. The column is a Catalyst
+  * expression, [[ViolationExpr]], over the model's [[CompiledModel]] (flat
+  * arrays, O(m²) doubles per branch); whole-stage codegen compiles it into
+  * the query's generated Java, which reads each row's numeric values and
+  * branch indexes into reused buffers.
   */
 object Disynth {
 
@@ -56,13 +58,15 @@ object Disynth {
     require(numericCols.nonEmpty, "Disynth.fit: no numeric columns")
     val scan = Moments.scan(df, numericCols, partitionCols, cfg.maxDistinct)
     val global = PcaSynth.simpleInvariant(scan.global, cfg.pca)
-    val disjunctive = partitionCols.zip(scan.groups).flatMap {
-      case (attr, Some(grouped)) =>
-        val cases = grouped.collect {
-          case (v, mom) if mom.n >= cfg.minPartRows => v -> PcaSynth.simpleInvariant(mom, cfg.pca)
-        }
-        if (cases.isEmpty) None else Some(DisjunctiveInvariant(attr, cases))
-      case _ => None
+    // Each branch is a pure function of its moments, so synthesizing them
+    // in parallel gives the same model on any number of threads.
+    val parts = partitionCols.zip(scan.groups).collect { case (attr, Some(grouped)) => attr -> grouped }
+    val fitted = parts.flatMap { case (attr, grouped) =>
+      grouped.collect { case (v, mom) if mom.n >= cfg.minPartRows => (attr, v, mom) }
+    }.par.map { case (attr, v, mom) => (attr, v) -> PcaSynth.simpleInvariant(mom, cfg.pca) }.seq.toMap
+    val disjunctive = parts.flatMap { case (attr, grouped) =>
+      val cases = grouped.flatMap { case (v, _) => fitted.get((attr, v)).map(v -> _) }
+      if (cases.isEmpty) None else Some(DisjunctiveInvariant(attr, cases))
     }
     ConformanceModel(numericCols, global, disjunctive)
   }
@@ -85,25 +89,8 @@ object Disynth {
     *
     * @param outCol name of the appended score column
     */
-  def score(df: DataFrame, model: ConformanceModel, outCol: String = "violation"): DataFrame = {
-    val (xs, idx) = inputColumns(model)
-    val compiled = model.compiled
-    val scoreUdf = udf((x: Array[Double], b: Array[Int]) => compiled.violation(b, x))
-    df.withColumn(outCol, scoreUdf(xs, idx))
-  }
-
-  /** The model's inputs as two non-null array columns: the numeric
-    * attributes in `numericCols` order as doubles (null → NaN), and per
-    * disjunctive attribute the tuple's branch index in
-    * [[CompiledModel.keys]] (−1 for a null or unseen value).
-    */
-  private[repro] def inputColumns(model: ConformanceModel): (Column, Column) = {
-    val xs = array(model.numericCols.map(c => coalesce(col(c).cast("double"), lit(Double.NaN))): _*)
-    val idx = model.partitionAttrs.zip(model.compiled.keys).map { case (a, ks) =>
-      (coalesce(array_position(typedLit(ks), col(a).cast("string")), lit(0L)) - 1).cast("int")
-    }
-    (xs, if (idx.isEmpty) typedLit(Array.empty[Int]) else array(idx: _*))
-  }
+  def score(df: DataFrame, model: ConformanceModel, outCol: String = "violation"): DataFrame =
+    df.withColumn(outCol, ViolationExpr.column(model))
 
   /** Average violation of a dataset against a model — the paper's drift
     * magnitude of `df` relative to the model's training data (§2, §6.2).

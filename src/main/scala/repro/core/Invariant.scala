@@ -7,7 +7,7 @@ import repro.linalg.Mat
   *
   * All classes here are small, immutable, and `Serializable`. They define
   * the semantics; evaluation runs on their flattened form,
-  * [[CompiledModel]], which is what a scoring UDF ships to the executors.
+  * [[CompiledModel]], which the scoring expression ships to the executors.
   */
 object Invariant {
   /** Normalization function η(z) = 1 − e^(−z), mapping [0,∞) → [0,1). */

@@ -1,7 +1,8 @@
 package repro.explain
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{CompiledModel, ConformanceModel, Disynth}
+import org.apache.spark.unsafe.types.UTF8String
+import repro.core.{CompiledModel, ConformanceModel, Disynth, ViolationExpr}
 
 /** ExTuNe — intervention-centric explanation of tuple non-conformance
   * (§6.3): responsibility of attribute Aᵢ for a tuple's violation.
@@ -140,16 +141,18 @@ object ExTuNe {
     * @return attribute name → mean responsibility, in model column order
     */
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {
-    import df.sparkSession.implicits._
-    val (xs, idx) = Disynth.inputColumns(model)
-    val rows = df.select(xs.as("_1"), idx.as("_2")).limit(maxTuples).as[(Array[Double], Array[Int])].collect()
+    val m = model.numericCols.length
+    val compiled = model.compiled
+    val rows = df.select(ViolationExpr.inputs(model): _*).limit(maxTuples).collect()
     require(rows.nonEmpty, "ExTuNe.aggregate: empty input")
 
-    val sums = new Array[Double](model.numericCols.length)
-    rows.foreach { case (x, b) =>
-      val resp = responsibility(model.compiled, b, x)
+    val sums = new Array[Double](m)
+    rows.foreach { r =>
+      val x = Array.tabulate(m)(i => if (r.isNullAt(i)) Double.NaN else r.getDouble(i))
+      val idx = Array.tabulate(r.length - m)(a => compiled.branchIndex(a, UTF8String.fromString(r.getString(m + a))))
+      val resp = responsibility(compiled, idx, x)
       var i = 0
-      while (i < sums.length) { sums(i) += resp(i); i += 1 }
+      while (i < m) { sums(i) += resp(i); i += 1 }
     }
     model.numericCols.zip(sums.map(_ / rows.length).toSeq)
   }

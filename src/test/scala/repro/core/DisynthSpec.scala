@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{JobCounts, SparkSpec}
+import repro.stats.Moments
 
 class DisynthSpec extends SparkSpec with JobCounts {
 
@@ -243,6 +244,33 @@ class DisynthSpec extends SparkSpec with JobCounts {
     val twice = Disynth.fit(df.union(df), Seq("a", "b", "c"), Seq("g"))
     assert(twice.global.n == 2 * once.global.n)
     assertSameModel(once, twice, 1e-6)
+  }
+
+  /** Same conjuncts, means and row count, bit for bit. */
+  private def assertSameBits(x: FittedSimple, y: FittedSimple): Unit = {
+    def same(p: Array[Double], q: Array[Double]) = p.length == q.length && p.indices.forall(i => Reference.sameBits(p(i), q(i)))
+    assert(x.n == y.n && same(x.means, y.means))
+    assert(x.inv.conjuncts.length == y.inv.conjuncts.length)
+    x.inv.conjuncts.zip(y.inv.conjuncts).foreach { case (p, q) =>
+      assert(same(p.proj.weights, q.proj.weights))
+      assert(same(Array(p.lb, p.ub, p.alpha, p.gamma, p.mean, p.std), Array(q.lb, q.ub, q.alpha, q.gamma, q.mean, q.std)))
+    }
+  }
+
+  test("a 50-group fit synthesizes every branch as PcaSynth does on Moments.byGroup, bit for bit") {
+    val rnd = new scala.util.Random(17)
+    val df = (1 to 3000).map { i =>
+      val a = rnd.nextDouble() * 10; val b = rnd.nextGaussian() * 2
+      (s"g${i % 50}", a, b, (i % 50 + 1) * a - b + rnd.nextGaussian() * 0.05)
+    }.toDF("g", "a", "b", "c")
+    val cols = Seq("a", "b", "c")
+    val model = Disynth.fit(df, cols, Seq("g"))
+    val groups = Moments.byGroup(df, cols, "g")
+    assert(groups.size == 50)
+    val cases = model.disjunctive.head.cases
+    assert(cases.keySet == groups.keySet)
+    groups.foreach { case (v, mom) => assertSameBits(cases(v), PcaSynth.simpleInvariant(mom)) }
+    assertSameBits(model.global, PcaSynth.simpleInvariant(Moments.of(df, cols)))
   }
 
   test("score followed by one aggregate runs two jobs of one stage each on a cached frame") {
