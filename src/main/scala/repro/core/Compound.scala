@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.unsafe.types.UTF8String
+
 /** Compound invariants (§3.1's ψ_A and Ψ productions) and the full fitted
   * conformance model DISYNTH produces for a dataset.
   */
@@ -11,9 +13,9 @@ package repro.core
   * @param means training means of the numeric attributes (model ordering)
   * @param n     number of training rows behind the fit
   */
-final case class FittedSimple(inv: SimpleInvariant, means: Array[Double], n: Long)
-    extends Serializable {
-  def violation(x: Array[Double]): Double = inv.violation(x)
+final case class FittedSimple(inv: SimpleInvariant, means: Array[Double], n: Long) {
+  require(inv.k == 0 || inv.m == means.length,
+    s"FittedSimple: projections over ${inv.m} attributes, ${means.length} means")
 }
 
 /** A disjunctive invariant ∨((A=c₁)▷φ₁, (A=c₂)▷φ₂, …) switched on one
@@ -27,14 +29,28 @@ final case class FittedSimple(inv: SimpleInvariant, means: Array[Double], n: Lon
   * @param attr  the switching attribute A
   * @param cases branch invariants keyed by the (string-rendered) value of A
   */
-final case class DisjunctiveInvariant(attr: String, cases: Map[String, FittedSimple])
-    extends Serializable {
+final case class DisjunctiveInvariant(attr: String, cases: Map[String, FittedSimple]) {
 
-  /** [[ψ_A]](t) given t.A (None encodes SQL NULL) and the numeric values. */
-  def violation(attrValue: Option[String], x: Array[Double]): Double =
-    attrValue.flatMap(cases.get) match {
-      case Some(branch) => branch.violation(x)
-      case None         => 1.0
+  private val keys: Array[String] = cases.keys.toArray.sorted
+
+  /** The branches in sorted key order; a value's branch index points here. */
+  val branches: Array[FittedSimple] = keys.map(cases)
+
+  /** Key → branch index; built on first use in each deserialized copy, so
+    * it is never shipped.
+    */
+  @transient private lazy val lookup: java.util.HashMap[UTF8String, Integer] = {
+    val h = new java.util.HashMap[UTF8String, Integer](keys.length * 2)
+    keys.indices.foreach(i => h.put(UTF8String.fromString(keys(i)), i))
+    h
+  }
+
+  /** Branch index of A's value `v` (−1: null or unseen). */
+  def branchIndex(v: UTF8String): Int =
+    if (v == null) -1
+    else {
+      val i = lookup.get(v)
+      if (i == null) -1 else i
     }
 }
 
@@ -43,44 +59,78 @@ final case class DisjunctiveInvariant(attr: String, cases: Map[String, FittedSim
   * when no categorical attribute qualifies — the single global simple
   * invariant of Algorithm 1.
   *
+  * A tuple's categorical values enter the index-form methods as one branch
+  * index per disjunctive attribute ([[branchIndex]]), −1 for a null or
+  * unseen value.
+  *
   * @param numericCols ordering of the numeric attributes every projection
   *                    and `means` array in the model follows
   * @param global      the global simple invariant (always fitted; it is the
-  *                    model when `disjunctive` is empty, and the W-PCA
-  *                    baseline reuses it)
+  *                    model when `disjunctive` is empty)
   * @param disjunctive per-categorical-attribute disjunctive invariants
   */
 final case class ConformanceModel(
     numericCols: Seq[String],
     global: FittedSimple,
     disjunctive: Seq[DisjunctiveInvariant],
-) extends Serializable {
+) {
+
+  private val parts: Array[DisjunctiveInvariant] = disjunctive.toArray
 
   /** Attributes the compound invariants switch on. */
   def partitionAttrs: Seq[String] = disjunctive.map(_.attr)
 
-  /** The model flattened for evaluation; built once per JVM (it is not
-    * serialized with the model).
+  /** Branch index of disjunctive attribute `a`'s value `v` (−1: null or
+    * unseen).
     */
-  @transient lazy val compiled: CompiledModel = new CompiledModel(this)
+  def branchIndex(a: Int, v: UTF8String): Int = parts(a).branchIndex(v)
 
-  /** [[Φ]](t): equal-weight conjunction of the disjunctive components
-    * (each component already scores within [0,1]), falling back to the
-    * global simple invariant when there are none. Evaluated on
-    * [[compiled]].
-    *
-    * @param partVals value of each partition attribute on the tuple
-    * @param x        numeric attribute values in `numericCols` order
+  /** Branch index of each disjunctive attribute's value (−1: null, unseen
+    * or absent from the map).
     */
+  def branchIndexes(partVals: Map[String, Option[String]]): Array[Int] =
+    Array.tabulate(parts.length)(a =>
+      parts(a).branchIndex(UTF8String.fromString(partVals.getOrElse(parts(a).attr, None).orNull)))
+
+  /** [[Φ]](t): equal-weight conjunction of the disjunctive components in
+    * attribute order (each already scores within [0,1], an undefined one
+    * 1), falling back to the global simple invariant when there are none.
+    *
+    * @param idx branch index of each disjunctive attribute
+    * @param x   numeric attribute values in `numericCols` order
+    */
+  def violationAt(idx: Array[Int], x: Array[Double]): Double =
+    if (parts.isEmpty) global.inv.violation(x)
+    else {
+      var s = 0.0; var a = 0
+      while (a < parts.length) {
+        s += (if (idx(a) < 0) 1.0 else parts(a).branches(idx(a)).inv.violation(x))
+        a += 1
+      }
+      s / parts.length
+    }
+
+  /** [[violationAt]] of a tuple given as each partition attribute's value. */
   def violation(partVals: Map[String, Option[String]], x: Array[Double]): Double = {
     require(x.length == numericCols.length, "violation: length mismatch")
-    compiled.violation(compiled.branchIndexes(partVals), x)
+    violationAt(branchIndexes(partVals), x)
   }
+
+  /** The simple invariants a tuple's violation averages over, in attribute
+    * order: its branch per disjunctive attribute (null where undefined),
+    * or the global invariant alone. Averaging these reproduces
+    * [[violationAt]] exactly, the global case included (x/1 = x).
+    */
+  def components(idx: Array[Int]): Array[SimpleInvariant] =
+    if (parts.isEmpty) Array(global.inv)
+    else Array.tabulate(parts.length)(a => if (idx(a) < 0) null else parts(a).branches(idx(a)).inv)
 
   /** Intervention target for a tuple: the means of the partition the tuple
     * falls in (first disjunctive attribute with a seen value), else the
     * global training means. ExTuNe substitutes attribute values from here.
     */
-  def interventionMeans(partVals: Map[String, Option[String]]): Array[Double] =
-    compiled.interventionMeans(compiled.branchIndexes(partVals))
+  def interventionMeans(idx: Array[Int]): Array[Double] = {
+    val a = idx.indexWhere(_ >= 0)
+    if (a < 0) global.means else parts(a).branches(idx(a)).means
+  }
 }

@@ -18,10 +18,10 @@ import repro.stats.Moments
   *
   * Scoring: a `DataFrame → DataFrame` transformation appending a
   * `violation ∈ [0,1]` column, no shuffle. The column is a Catalyst
-  * expression, [[ViolationExpr]], over the model's [[CompiledModel]] (flat
-  * arrays, O(m²) doubles per branch); whole-stage codegen compiles it into
-  * the query's generated Java, which reads each row's numeric values and
-  * branch indexes into reused buffers.
+  * expression, [[ViolationExpr]], over the [[ConformanceModel]] itself
+  * (its simple invariants store flat arrays, O(m²) doubles per branch);
+  * whole-stage codegen compiles it into the query's generated Java, which
+  * reads each row's numeric values and branch indexes into reused buffers.
   */
 object Disynth {
 
@@ -30,15 +30,13 @@ object Disynth {
     * @param pca           Algorithm 1 parameters
     * @param maxDistinct   categorical attributes with more distinct values
     *                      than this are not used for partitioning (paper: 50)
-    * @param minPartRows   partitions with fewer rows get no invariant (their
-    *                      branch would be all noise); tuples falling in them
-    *                      score 1 like unseen values
     */
-  final case class Config(
-      pca: PcaSynth.Config = PcaSynth.Config(),
-      maxDistinct: Int = 50,
-      minPartRows: Long = 2L,
-  )
+  final case class Config(pca: PcaSynth.Config = PcaSynth.Config(), maxDistinct: Int = 50)
+
+  /** Partitions with fewer rows get no invariant (their branch would be all
+    * noise); tuples falling in them score 1 like unseen values.
+    */
+  private val MinPartRows = 2L
 
   /** Fit a model with explicit attribute roles.
     *
@@ -62,7 +60,7 @@ object Disynth {
     // in parallel gives the same model on any number of threads.
     val parts = partitionCols.zip(scan.groups).collect { case (attr, Some(grouped)) => attr -> grouped }
     val fitted = parts.flatMap { case (attr, grouped) =>
-      grouped.collect { case (v, mom) if mom.n >= cfg.minPartRows => (attr, v, mom) }
+      grouped.collect { case (v, mom) if mom.n >= MinPartRows => (attr, v, mom) }
     }.par.map { case (attr, v, mom) => (attr, v) -> PcaSynth.simpleInvariant(mom, cfg.pca) }.seq.toMap
     val disjunctive = parts.flatMap { case (attr, grouped) =>
       val cases = grouped.flatMap { case (v, _) => fitted.get((attr, v)).map(v -> _) }

@@ -15,27 +15,28 @@ object PcaSynth {
 
   /** Synthesis knobs (paper defaults).
     *
-    * @param C             bound width in standard deviations (paper uses 4)
-    * @param bigAlpha      cap on the scaling factor α
-    * @param relSigmaFloor (near-)exact invariants get an *effective* σ of
-    *                      `relSigmaFloor · rms(‖t‖)` for bounds and α. This
-    *                      is the numerically-robust version of the paper's
-    *                      "set α to a large positive number when σ = 0":
-    *                      eigenvector round-off produces projection errors
-    *                      proportional to the tuple norm, so an exact
-    *                      invariant needs a tolerance at the data's scale or
-    *                      it flags conforming tuples on float noise alone
-    * @param weightEps     eigenvectors whose non-constant part has 2-norm
-    *                      below this are dropped (they are the pure-constant
-    *                      direction, which projects every tuple to the same
-    *                      value)
+    * @param C bound width in standard deviations (paper uses 4)
     */
-  final case class Config(
-      C: Double = 4.0,
-      bigAlpha: Double = 1e9,
-      relSigmaFloor: Double = 1e-5,
-      weightEps: Double = 1e-9,
-  )
+  final case class Config(C: Double = 4.0)
+
+  /** Cap on the scaling factor α. */
+  private val BigAlpha = 1e9
+
+  /** (Near-)exact invariants get an *effective* σ of
+    * `RelSigmaFloor · rms(‖t‖)` for bounds and α. This is the
+    * numerically-robust version of the paper's "set α to a large positive
+    * number when σ = 0": eigenvector round-off produces projection errors
+    * proportional to the tuple norm, so an exact invariant needs a
+    * tolerance at the data's scale or it flags conforming tuples on float
+    * noise alone.
+    */
+  private val RelSigmaFloor = 1e-5
+
+  /** Eigenvectors whose non-constant part has 2-norm below this are dropped
+    * (they are the pure-constant direction, which projects every tuple to
+    * the same value).
+    */
+  private val WeightEps = 1e-9
 
   /** Run Algorithm 1 on precomputed moments.
     *
@@ -52,22 +53,21 @@ object PcaSynth {
     // projection values; floors the effective σ of exact invariants.
     val m = mom.cols.length
     val rmsTuple = math.sqrt((0 until m).map(i => mom.gram(i, i)).sum / math.max(mom.n, 1L))
-    val sigmaFloor = math.max(cfg.relSigmaFloor * rmsTuple, 1e-12)
+    val sigmaFloor = math.max(RelSigmaFloor * rmsTuple, 1e-12)
 
     val raw = for {
       k <- eig.values.indices
       stripped = eig.vector(k).drop(1)
       nrm = Mat.norm2(stripped)
-      if nrm > cfg.weightEps
+      if nrm > WeightEps
     } yield {
       val w = Mat.scale(stripped, 1.0 / nrm)
       val mu = mom.meanOf(w)
       val sd = mom.stdOf(w)
       val sdEff = math.max(sd, sigmaFloor)
-      val alpha = math.min(cfg.bigAlpha, 1.0 / sdEff)
+      val alpha = math.min(BigAlpha, 1.0 / sdEff)
       val gammaRaw = 1.0 / math.log(2.0 + sd)
-      (BoundedProjection(LinearProjection(w), mu - cfg.C * sdEff, mu + cfg.C * sdEff,
-        alpha, gammaRaw, mu, sd), gammaRaw)
+      (BoundedProjection(w, mu - cfg.C * sdEff, mu + cfg.C * sdEff, alpha, gammaRaw, mu, sd), gammaRaw)
     }
 
     val z = raw.map(_._2).sum

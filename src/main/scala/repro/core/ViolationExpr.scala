@@ -16,18 +16,18 @@ import org.apache.spark.unsafe.types.UTF8String
   * The children are [[ViolationExpr.inputs]]: the numeric attributes cast to
   * double, then the partition attributes cast to string. Per row they are
   * written into two buffers, the doubles (null → NaN) and each disjunctive
-  * attribute's branch index ([[CompiledModel.branchIndex]]), which
-  * [[CompiledModel.violation]] scores, so a score has the same bits on every
+  * attribute's branch index ([[ConformanceModel.branchIndex]]), which
+  * [[ConformanceModel.violationAt]] scores, so a score has the same bits on every
   * path. Generated code keeps one pair of buffers per generated instance (one
   * per task); `eval` allocates its own per call, so no path shares mutable
   * state between threads.
   */
-final case class ViolationExpr(children: Seq[Expression], model: CompiledModel) extends Expression {
-  require(children.length == model.numericCount + model.partitionCount,
+final case class ViolationExpr(children: Seq[Expression], model: ConformanceModel) extends Expression {
+  require(children.length == model.numericCols.length + model.disjunctive.length,
     s"ViolationExpr: ${children.length} inputs for a model of " +
-      s"${model.numericCount} numeric and ${model.partitionCount} partition attributes")
+      s"${model.numericCols.length} numeric and ${model.disjunctive.length} partition attributes")
 
-  private def m: Int = model.numericCount
+  private def m: Int = model.numericCols.length
 
   override def nullable: Boolean = false
   override def dataType: DataType = DoubleType
@@ -44,7 +44,7 @@ final case class ViolationExpr(children: Seq[Expression], model: CompiledModel) 
       else idx(i - m) = model.branchIndex(i - m, v.asInstanceOf[UTF8String])
       i += 1
     }
-    model.violation(idx, x)
+    model.violationAt(idx, x)
   }
 
   override protected def doGenCode(ctx: CodegenContext, ev: ExprCode): ExprCode = {
@@ -61,7 +61,7 @@ final case class ViolationExpr(children: Seq[Expression], model: CompiledModel) 
     ev.copy(
       code = code"""
         ${ctx.splitExpressionsWithCurrentInputs(writes)}
-        double ${ev.value} = $ref.violation($idx, $x);""",
+        double ${ev.value} = $ref.violationAt($idx, $x);""",
       isNull = FalseLiteral)
   }
 
@@ -79,5 +79,5 @@ object ViolationExpr {
 
   /** Each row's violation score under `model`. */
   def column(model: ConformanceModel): Column =
-    ColumnBridge.column(ViolationExpr(inputs(model).map(ColumnBridge.expression), model.compiled))
+    ColumnBridge.column(ViolationExpr(inputs(model).map(ColumnBridge.expression), model))
 }

@@ -2,7 +2,7 @@ package repro.explain
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.types.UTF8String
-import repro.core.{CompiledModel, ConformanceModel, Disynth, ViolationExpr}
+import repro.core.{ConformanceModel, Disynth, ViolationExpr}
 
 /** ExTuNe — intervention-centric explanation of tuple non-conformance
   * (§6.3): responsibility of attribute Aᵢ for a tuple's violation.
@@ -34,10 +34,10 @@ object ExTuNe {
       x: Array[Double],
   ): Array[Double] = {
     require(x.length == model.numericCols.length, "tupleResponsibility: length mismatch")
-    responsibility(model.compiled, model.compiled.branchIndexes(partVals), x)
+    responsibility(model, model.branchIndexes(partVals), x)
   }
 
-  /** The greedy repair on the compiled model, for a tuple's branch indexes.
+  /** The greedy repair for a tuple's branch indexes.
     *
     * The branches a tuple falls in stay fixed under substitution, so the
     * violation is the mean of a few simple invariants (an undefined one
@@ -55,13 +55,13 @@ object ExTuNe {
     * With one component (A = 1), an incremental trial stops summing conjunct
     * terms once it cannot score strictly below the round's best, `bestV`;
     * such a trial could not have won, so the results do not change (see
-    * [[repro.core.CompiledSimple.violationShifted]]). With A > 1 components
+    * [[repro.core.SimpleInvariant.violationShifted]]). With A > 1 components
     * every trial sums all its terms.
     */
-  private def responsibility(model: CompiledModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
+  private def responsibility(model: ConformanceModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
     val m = x.length
     val out = new Array[Double](m)
-    if (model.violation(idx, x) <= ConformEps) return out // conforming: nobody responsible
+    if (model.violationAt(idx, x) <= ConformEps) return out // conforming: nobody responsible
 
     val target = model.interventionMeans(idx)
     val comps = model.components(idx)
@@ -92,7 +92,7 @@ object ExTuNe {
       } else {
         val saved = t(j)
         t(j) = target(j)
-        val v = model.violation(idx, t)
+        val v = model.violationAt(idx, t)
         t(j) = saved
         v
       }
@@ -135,22 +135,21 @@ object ExTuNe {
     *
     * @param maxTuples cap on tuples analysed — the greedy repair makes up to
     *                  m starts × m rounds × m trials per tuple, each trial
-    *                  at most O(K) on the compiled model (O(m³·K) in the
+    *                  at most O(K) on the fitted model (O(m³·K) in the
     *                  worst case), so explanation runs on a sample, as in
     *                  the ExTuNe demo
     * @return attribute name → mean responsibility, in model column order
     */
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {
     val m = model.numericCols.length
-    val compiled = model.compiled
     val rows = df.select(ViolationExpr.inputs(model): _*).limit(maxTuples).collect()
     require(rows.nonEmpty, "ExTuNe.aggregate: empty input")
 
     val sums = new Array[Double](m)
     rows.foreach { r =>
       val x = Array.tabulate(m)(i => if (r.isNullAt(i)) Double.NaN else r.getDouble(i))
-      val idx = Array.tabulate(r.length - m)(a => compiled.branchIndex(a, UTF8String.fromString(r.getString(m + a))))
-      val resp = responsibility(compiled, idx, x)
+      val idx = Array.tabulate(r.length - m)(a => model.branchIndex(a, UTF8String.fromString(r.getString(m + a))))
+      val resp = responsibility(model, idx, x)
       var i = 0
       while (i < m) { sums(i) += resp(i); i += 1 }
     }

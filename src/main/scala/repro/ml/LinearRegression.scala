@@ -50,19 +50,13 @@ object LinearRegression {
   def fit(df: DataFrame, features: Seq[String], target: String, ridge: Double = 1e-10): Model = {
     require(features.nonEmpty, "LinearRegression.fit: no features")
     require(!features.contains(target), "LinearRegression.fit: target among features")
-    val mom = Moments.of(df, features :+ target)
+    // Augmented Gram of [1, features, target]: the normal equations are its
+    // leading (m+1)×(m+1) block and rows 0..m of its last column.
+    val g = Moments.of(df, features :+ target).augmentedGram
     val m = features.length
-    val ti = mom.idx(target)
-
     val a = Mat.zeros(m + 1, m + 1)
-    a(0, 0) = mom.n.toDouble
-    for (i <- 0 until m) {
-      a(0, i + 1) = mom.sums(i); a(i + 1, 0) = mom.sums(i)
-      for (j <- 0 until m) a(i + 1, j + 1) = mom.gram(i, j)
-    }
-    val b = new Array[Double](m + 1)
-    b(0) = mom.sums(ti)
-    for (i <- 0 until m) b(i + 1) = mom.gram(i, ti)
+    for (i <- 0 to m; j <- 0 to m) a(i, j) = g(i, j)
+    val b = Array.tabulate(m + 1)(i => g(i, m + 1))
 
     val diagScale = (0 to m).map(i => a(i, i)).sum / (m + 1)
     val beta = Solve.solve(a, b, ridge * math.max(diagScale, 1.0))

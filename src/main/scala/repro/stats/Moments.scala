@@ -26,11 +26,6 @@ final case class Moments(n: Long, cols: Seq[String], sums: Array[Double], gram: 
   require(cols.length == sums.length && gram.rows == cols.length && gram.cols == cols.length,
     "Moments: inconsistent dimensions")
 
-  /** Index of a column name. */
-  def idx(c: String): Int = {
-    val i = cols.indexOf(c); require(i >= 0, s"Moments: unknown column $c"); i
-  }
-
   /** Mean vector. */
   def means: Array[Double] = sums.map(_ / math.max(n, 1L))
 

@@ -21,7 +21,7 @@ class CompiledModelSpec extends SparkSpec {
     }.toMap
 
   test("compiled violation equals the case-class path bit for bit on random models") {
-    var floored, empty, nan, conforming, partial = 0
+    var floored, empty, nan, inf, conforming, partial = 0
     (1 to 80).foreach { seed =>
       val rnd = new Random(seed)
       val m = 2 + rnd.nextInt(5)
@@ -39,7 +39,11 @@ class CompiledModelSpec extends SparkSpec {
           .getOrElse(sources(""))
         val x = src.draw(rnd)
         if (rnd.nextInt(3) == 0) x(rnd.nextInt(m)) += rnd.between(-30.0, 30.0)
-        if (rnd.nextInt(10) == 0) { x(rnd.nextInt(m)) = Double.NaN; nan += 1 }
+        rnd.nextInt(10) match {
+          case 0 => x(rnd.nextInt(m)) = Double.NaN; nan += 1
+          case 1 => x(rnd.nextInt(m)) = if (rnd.nextBoolean()) Double.PositiveInfinity else Double.NegativeInfinity; inf += 1
+          case _ =>
+        }
         if (pv.get("g").flatten.contains("a") && seed % 4 == 2) empty += 1
         val got = model.violation(pv, x)
         val want = Reference.violation(model, pv, x)
@@ -47,8 +51,8 @@ class CompiledModelSpec extends SparkSpec {
         if (want == 0.0) conforming += 1 else if (want < 1.0) partial += 1
       }
     }
-    assert(floored > 0 && empty > 0 && nan > 0 && conforming > 0 && partial > 0,
-      s"coverage: floored $floored empty $empty nan $nan conforming $conforming partial $partial")
+    assert(floored > 0 && empty > 0 && nan > 0 && inf > 0 && conforming > 0 && partial > 0,
+      s"coverage: floored $floored empty $empty nan $nan inf $inf conforming $conforming partial $partial")
   }
 
   test("intervention means on the compiled model follow the first defined branch") {
@@ -57,18 +61,21 @@ class CompiledModelSpec extends SparkSpec {
       val (model, _) = RandomModels.model(rnd, 3, Seq("g" -> Seq("a", "b"), "h" -> Seq("p")))
       (1 to 20).foreach { _ =>
         val pv = partVals(rnd, model)
-        assert(model.interventionMeans(pv).sameElements(Reference.interventionMeans(model, pv)))
+        assert(model.interventionMeans(model.branchIndexes(pv)).sameElements(Reference.interventionMeans(model, pv)))
       }
     }
   }
 
   test("the compiled model serializes without the case-class tree") {
     val (model, _) = RandomModels.model(new Random(1), 3, Seq("g" -> Seq("a", "b")))
+    // Reading the conjunct records on the driver must not attach them to
+    // the model that ships.
+    assert((model.global +: model.disjunctive.flatMap(_.branches)).forall(_.inv.conjuncts.nonEmpty))
     val bos = new java.io.ByteArrayOutputStream()
-    new java.io.ObjectOutputStream(bos).writeObject(model.compiled)
+    new java.io.ObjectOutputStream(bos).writeObject(model)
     val bytes = new String(bos.toByteArray, "ISO-8859-1")
-    assert(bytes.contains("CompiledSimple"))
-    Seq("ConformanceModel", "FittedSimple", "BoundedProjection").foreach(c => assert(!bytes.contains(c), c))
+    assert(bytes.contains("SimpleInvariant"))
+    assert(!bytes.contains("BoundedProjection"))
   }
 
   test("the score column equals the per-row reference on null and unseen categories and null numerics") {

@@ -6,7 +6,7 @@ class CompoundSpec extends AnyFunSuite {
 
   private def constInv(center: Double, slack: Double): FittedSimple = {
     val bp = BoundedProjection(
-      LinearProjection(Array(1.0)), center - slack, center + slack,
+      Array(1.0), center - slack, center + slack,
       alpha = 1.0 / math.max(slack / 4, 1e-9), gamma = 1.0, mean = center, std = slack / 4)
     FittedSimple(SimpleInvariant(Seq(bp)), Array(center), 10L)
   }
@@ -16,19 +16,26 @@ class CompoundSpec extends AnyFunSuite {
     "blue" -> constInv(10.0, 1.0),
   ))
 
+  /** [[ψ_A]](t) of `disj`, scored by a model with `disj` as its one
+    * disjunctive component (whose mean over one component is that
+    * component's score).
+    */
+  private def violation(attrValue: Option[String], x: Array[Double]): Double =
+    ConformanceModel(Seq("v"), constInv(0.0, 1.0), Seq(disj)).violation(Map(disj.attr -> attrValue), x)
+
   test("switch operator picks the branch matching the attribute value") {
-    assert(disj.violation(Some("red"), Array(0.5)) == 0.0)
-    assert(disj.violation(Some("blue"), Array(10.5)) == 0.0)
-    assert(disj.violation(Some("red"), Array(10.0)) > 0.9)
-    assert(disj.violation(Some("blue"), Array(0.0)) > 0.9)
+    assert(violation(Some("red"), Array(0.5)) == 0.0)
+    assert(violation(Some("blue"), Array(10.5)) == 0.0)
+    assert(violation(Some("red"), Array(10.0)) > 0.9)
+    assert(violation(Some("blue"), Array(0.0)) > 0.9)
   }
 
   test("unseen attribute value: simp is undefined, violation is 1") {
-    assert(disj.violation(Some("green"), Array(0.0)) == 1.0)
+    assert(violation(Some("green"), Array(0.0)) == 1.0)
   }
 
   test("null attribute value: violation is 1") {
-    assert(disj.violation(None, Array(0.0)) == 1.0)
+    assert(violation(None, Array(0.0)) == 1.0)
   }
 
   test("conjunction of disjunctive invariants averages component scores") {
@@ -57,9 +64,9 @@ class CompoundSpec extends AnyFunSuite {
 
   test("interventionMeans prefers the matched partition over the global means") {
     val model = ConformanceModel(Seq("v"), constInv(5.0, 1.0), Seq(disj))
-    assert(model.interventionMeans(Map("color" -> Some("blue"))).sameElements(Array(10.0)))
-    assert(model.interventionMeans(Map("color" -> Some("green"))).sameElements(Array(5.0)))
-    assert(model.interventionMeans(Map.empty).sameElements(Array(5.0)))
+    assert(model.interventionMeans(model.branchIndexes(Map("color" -> Some("blue")))).sameElements(Array(10.0)))
+    assert(model.interventionMeans(model.branchIndexes(Map("color" -> Some("green")))).sameElements(Array(5.0)))
+    assert(model.interventionMeans(model.branchIndexes(Map.empty)).sameElements(Array(5.0)))
   }
 
   test("partitionAttrs lists the switching attributes in order") {

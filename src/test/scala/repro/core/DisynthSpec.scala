@@ -98,7 +98,7 @@ class DisynthSpec extends SparkSpec with JobCounts {
 
   test("partitions below minPartRows get no branch (score 1 there)") {
     val df = (Seq(("solo", 1.0)) ++ (1 to 50).map(i => ("big", i.toDouble))).toDF("g", "x")
-    val model = Disynth.fit(df, Seq("x"), Seq("g"), Disynth.Config(minPartRows = 2))
+    val model = Disynth.fit(df, Seq("x"), Seq("g"))
     assert(model.disjunctive.head.cases.keySet == Set("big"))
     val probe = Seq(("solo", 1.0)).toDF("g", "x")
     assert(Disynth.score(probe, model).select("violation").as[Double].head() == 1.0)
@@ -211,7 +211,7 @@ class DisynthSpec extends SparkSpec with JobCounts {
     def close(p: Double, q: Double) = math.abs(p - q) <= tol * (1 + math.max(math.abs(p), math.abs(q)))
     assert(x.conjuncts.length == y.conjuncts.length)
     x.conjuncts.zip(y.conjuncts).foreach { case (p, q) =>
-      val (wp, wq) = (p.proj.weights, q.proj.weights)
+      val (wp, wq) = (p.weights, q.weights)
       val sign = math.signum(wp.zip(wq).map { case (u, v) => u * v }.sum)
       assert(wp.indices.forall(i => close(wp(i), sign * wq(i))), s"weights ${wp.toSeq} vs ${wq.toSeq}")
       val (lb, ub) = if (sign > 0) (q.lb, q.ub) else (-q.ub, -q.lb)
@@ -252,7 +252,7 @@ class DisynthSpec extends SparkSpec with JobCounts {
     assert(x.n == y.n && same(x.means, y.means))
     assert(x.inv.conjuncts.length == y.inv.conjuncts.length)
     x.inv.conjuncts.zip(y.inv.conjuncts).foreach { case (p, q) =>
-      assert(same(p.proj.weights, q.proj.weights))
+      assert(same(p.weights, q.weights))
       assert(same(Array(p.lb, p.ub, p.alpha, p.gamma, p.mean, p.std), Array(q.lb, q.ub, q.alpha, q.gamma, q.mean, q.std)))
     }
   }

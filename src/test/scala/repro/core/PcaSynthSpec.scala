@@ -21,7 +21,7 @@ class PcaSynthSpec extends SparkSpec {
     val minStd = fitted.inv.conjuncts.map(_.std).min
     assert(minStd < 1e-6, s"expected ~0 min std, got $minStd")
     // The minimizing projection is ±(1,1,-1)/√3.
-    val best = fitted.inv.conjuncts.minBy(_.std).proj.weights
+    val best = fitted.inv.conjuncts.minBy(_.std).weights
     val target = Array(1.0, 1.0, -1.0).map(_ / math.sqrt(3))
     val cosine = math.abs(Mat.dot(best, target))
     assert(cosine > 0.999, s"projection ${best.toSeq} not aligned with (1,1,-1)/√3")
@@ -56,7 +56,7 @@ class PcaSynthSpec extends SparkSpec {
     val df = (1 to 200).map(_ => (rnd.nextGaussian(), rnd.nextGaussian() * 3)).toDF("a", "b")
     val fitted = PcaSynth.simpleInvariant(momentsOf(df, Seq("a", "b")))
     fitted.inv.conjuncts.foreach { bp =>
-      assert(math.abs(Mat.norm2(bp.proj.weights) - 1.0) < 1e-9)
+      assert(math.abs(Mat.norm2(bp.weights) - 1.0) < 1e-9)
     }
   }
 
@@ -103,7 +103,7 @@ class PcaSynthSpec extends SparkSpec {
     val mom = momentsOf(df, Seq("a", "b", "c"))
     val cs = PcaSynth.simpleInvariant(mom).inv.conjuncts
     for (i <- cs.indices; j <- cs.indices if i < j) {
-      val wi = cs(i).proj.weights; val wj = cs(j).proj.weights
+      val wi = cs(i).weights; val wj = cs(j).weights
       val si = mom.stdOf(wi); val sj = mom.stdOf(wj)
       if (si > 1e-9 && sj > 1e-9) {
         val mi = mom.meanOf(wi); val mj = mom.meanOf(wj)
@@ -121,11 +121,11 @@ class PcaSynthSpec extends SparkSpec {
     val best = fitted.inv.conjuncts.minBy(_.std)
     assert(best.std < 1e-5) // Jacobi + Gram cancellation leave float dust
     // F ∝ (a1 − a2): mean 0, and the incongruous tuple (1,3) violates it.
-    val cosine = math.abs(Mat.dot(best.proj.weights, Array(1.0, -1.0).map(_ / math.sqrt(2))))
+    val cosine = math.abs(Mat.dot(best.weights, Array(1.0, -1.0).map(_ / math.sqrt(2))))
     assert(cosine > 0.999)
     assert(fitted.inv.violation(Array(1.0, 3.0)) > 0.0)
     // (10,10) stays on the combined trend: the tight conjunct is satisfied.
-    assert(best.violation(Array(10.0, 10.0)) == 0.0)
+    assert(SimpleInvariant(Seq(best.copy(gamma = 1.0))).violation(Array(10.0, 10.0)) == 0.0)
   }
 
   test("number of projections is at most m+1 and at least m for full-rank data") {

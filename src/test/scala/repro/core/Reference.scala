@@ -1,14 +1,43 @@
 package repro.core
 
-/** [[ConformanceModel]]'s semantics evaluated on the case-class tree
-  * (§3.2: the component invariants' own `violation` methods), the
-  * reference the compiled form must match bit for bit.
+import repro.linalg.Mat
+
+/** The §3.2 semantics written out conjunct by conjunct on the
+  * [[SimpleInvariant.conjuncts]] records, independently of the model's own
+  * evaluator: the reference [[ConformanceModel.violation]] must match bit
+  * for bit.
   */
 object Reference {
 
+  /** [[φ]](t) = η(α·max(0, F(t)−ub, lb−F(t))), and 1 for a NaN projection. */
+  def conjunct(bp: BoundedProjection, x: Array[Double]): Double = {
+    val f = Mat.dot(bp.weights, x)
+    if (f.isNaN) 1.0
+    else Invariant.eta(bp.alpha * math.max(0.0, math.max(f - bp.ub, bp.lb - f)))
+  }
+
+  /** Boolean semantics of a conjunct: does the tuple satisfy the bounds? */
+  def satisfied(bp: BoundedProjection, x: Array[Double]): Boolean = {
+    val f = Mat.dot(bp.weights, x); !f.isNaN && f >= bp.lb && f <= bp.ub
+  }
+
+  /** Σ_k γ_k·[[φ_k]](t) clamped to [0,1]; an empty conjunction scores 1. */
+  def simple(inv: SimpleInvariant, x: Array[Double]): Double = {
+    val cs = inv.conjuncts
+    if (cs.isEmpty) 1.0
+    else math.min(1.0, math.max(0.0, cs.iterator.map(bp => bp.gamma * conjunct(bp, x)).sum))
+  }
+
+  /** Boolean semantics of a conjunction: every conjunct holds. */
+  def satisfiedAll(inv: SimpleInvariant, x: Array[Double]): Boolean = inv.conjuncts.forall(satisfied(_, x))
+
+  /** [[ψ_A]](t): the matching branch, or 1 for a null or unseen value. */
+  def disjunctive(d: DisjunctiveInvariant, attrValue: Option[String], x: Array[Double]): Double =
+    attrValue.flatMap(d.cases.get).fold(1.0)(b => simple(b.inv, x))
+
   def violation(model: ConformanceModel, partVals: Map[String, Option[String]], x: Array[Double]): Double =
-    if (model.disjunctive.isEmpty) model.global.violation(x)
-    else model.disjunctive.iterator.map(d => d.violation(partVals.getOrElse(d.attr, None), x)).sum /
+    if (model.disjunctive.isEmpty) simple(model.global.inv, x)
+    else model.disjunctive.iterator.map(d => disjunctive(d, partVals.getOrElse(d.attr, None), x)).sum /
       model.disjunctive.size
 
   def interventionMeans(model: ConformanceModel, partVals: Map[String, Option[String]]): Array[Double] = {

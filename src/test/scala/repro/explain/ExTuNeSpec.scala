@@ -87,7 +87,7 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
   }
 
   test("responsibilities equal the naive greedy on random models and tuples") {
-    var multiRound, partition, unseen, conforming, nan = 0
+    var multiRound, partition, unseen, conforming, nan, inf = 0
     (1 to 60).foreach { seed =>
       val rnd = new Random(seed)
       val m = 3 + rnd.nextInt(4)
@@ -106,7 +106,11 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
         val x = src.draw(rnd)
         val shifted = rnd.nextInt(4)
         rnd.shuffle((0 until m).toList).take(shifted).foreach(i => x(i) += rnd.between(20.0, 60.0) * (if (rnd.nextBoolean()) 1 else -1))
-        if (rnd.nextInt(10) == 0) { x(rnd.nextInt(m)) = Double.NaN; nan += 1 }
+        rnd.nextInt(10) match {
+          case 0 => x(rnd.nextInt(m)) = Double.NaN; nan += 1
+          case 1 => x(rnd.nextInt(m)) = if (rnd.nextBoolean()) Double.PositiveInfinity else Double.NegativeInfinity; inf += 1
+          case _ =>
+        }
 
         val got = ExTuNe.tupleResponsibility(model, pv, x)
         val want = GreedyOracle.tupleResponsibility(model, pv, x)
@@ -119,8 +123,8 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
         if (got.exists(r => r > 0 && r < 0.5)) multiRound += 1
       }
     }
-    assert(multiRound > 0 && partition > 0 && unseen > 0 && conforming > 0 && nan > 0,
-      s"coverage: multiRound $multiRound partition $partition unseen $unseen conforming $conforming nan $nan")
+    assert(multiRound > 0 && partition > 0 && unseen > 0 && conforming > 0 && nan > 0 && inf > 0,
+      s"coverage: multiRound $multiRound partition $partition unseen $unseen conforming $conforming nan $nan inf $inf")
   }
 
   test("exact tie: the lowest-index attribute is substituted first") {
@@ -130,7 +134,7 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     // lowest index first wastes a step on a whenever a is left, so every
     // start needs all three fixes after it (1/4); breaking ties towards the
     // highest index would give starts b, c and d 1/3.
-    val bp = BoundedProjection(LinearProjection(Array(0.0, 1.0, 1.0, 1.0)), -1.0, 1.0,
+    val bp = BoundedProjection(Array(0.0, 1.0, 1.0, 1.0), -1.0, 1.0,
       alpha = 100.0, gamma = 1.0, mean = 0.0, std = 0.25)
     val model = ConformanceModel(Seq("a", "b", "c", "d"),
       FittedSimple(SimpleInvariant(Seq(bp)), Array(0.0, 0.0, 0.0, 0.0), 10L), Nil)
@@ -215,7 +219,7 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     // win although s ties it at 0, and p needs one more fix (1/2). From q,
     // r and s tie at η(4); r is taken, then s conforms (1/3). r and s alone
     // conform (1). With two identical components the trials are the same.
-    val bp = BoundedProjection(LinearProjection(Array(0.0, 1.0, 1.0, 1.0)), -1.0, 1.0,
+    val bp = BoundedProjection(Array(0.0, 1.0, 1.0, 1.0), -1.0, 1.0,
       alpha = 1.0, gamma = 1.0, mean = 0.0, std = 0.25)
     val fs = FittedSimple(SimpleInvariant(Seq(bp)), Array(0.0, 0.0, 0.0, 0.0), 10L)
     val cols = Seq("p", "q", "r", "s")
