@@ -1,5 +1,6 @@
 package repro.explain
 
+import scala.collection.parallel.CollectionConverters._
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.types.UTF8String
 import repro.core.{ConformanceModel, Disynth, ViolationExpr}
@@ -16,7 +17,9 @@ import repro.core.{ConformanceModel, Disynth, ViolationExpr}
   * construction: repeatedly substitute the attribute that reduces the
   * violation most. Trials that can no longer beat a round's best stop
   * early when the tuple falls in one component, without changing any
-  * result. Responsibilities are averaged over the test set.
+  * result. Responsibilities are averaged over a sample of the test set,
+  * fetched in one Spark job; the sampled tuples are repaired in parallel
+  * on the driver's cores and summed in sample order.
   */
 object ExTuNe {
 
@@ -133,25 +136,39 @@ object ExTuNe {
 
   /** Aggregate responsibility per attribute over (a sample of) `df`.
     *
-    * @param maxTuples cap on tuples analysed — the greedy repair makes up to
-    *                  m starts × m rounds × m trials per tuple, each trial
-    *                  at most O(K) on the fitted model (O(m³·K) in the
+    * The sample is the first `maxTuples` rows (`limit`), fetched in one
+    * Spark job. Each tuple's repair depends on no other tuple and the
+    * model is only read, so the tuples are repaired in parallel on the
+    * driver's cores, each into its own slot; the slots are then added up on
+    * one thread in sample order, so every mean has the same bits on any
+    * number of threads.
+    *
+    * @param maxTuples cap on tuples analysed (> 0) — the greedy repair makes
+    *                  up to m starts × m rounds × m trials per tuple, each
+    *                  trial at most O(K) on the fitted model (O(m³·K) in the
     *                  worst case), so explanation runs on a sample, as in
     *                  the ExTuNe demo
     * @return attribute name → mean responsibility, in model column order
     */
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {
+    require(maxTuples > 0, s"ExTuNe.aggregate: maxTuples must be positive, got $maxTuples")
     val m = model.numericCols.length
     val rows = df.select(ViolationExpr.inputs(model): _*).limit(maxTuples).collect()
     require(rows.nonEmpty, "ExTuNe.aggregate: empty input")
 
-    val sums = new Array[Double](m)
-    rows.foreach { r =>
+    val resp = new Array[Double](rows.length * m)
+    rows.indices.par.foreach { t =>
+      val r = rows(t)
       val x = Array.tabulate(m)(i => if (r.isNullAt(i)) Double.NaN else r.getDouble(i))
       val idx = Array.tabulate(r.length - m)(a => model.branchIndex(a, UTF8String.fromString(r.getString(m + a))))
-      val resp = responsibility(model, idx, x)
+      System.arraycopy(responsibility(model, idx, x), 0, resp, t * m, m)
+    }
+    val sums = new Array[Double](m)
+    var t = 0
+    while (t < rows.length) {
       var i = 0
-      while (i < m) { sums(i) += resp(i); i += 1 }
+      while (i < m) { sums(i) += resp(t * m + i); i += 1 }
+      t += 1
     }
     model.numericCols.zip(sums.map(_ / rows.length).toSeq)
   }

@@ -1,6 +1,10 @@
 package repro.explain
 
+import java.util.concurrent.{Callable, CyclicBarrier, Executors}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
 import repro.{JobCounts, SparkSpec}
 import repro.core._
 
@@ -86,6 +90,14 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     intercept[IllegalArgumentException](ExTuNe.aggregate(df, model))
   }
 
+  test("aggregate rejects a sample size that is not positive") {
+    val model = Disynth.fit(train2d(), Seq("a", "b"))
+    Seq(0, -1).foreach { n =>
+      val e = intercept[IllegalArgumentException](ExTuNe.aggregate(train2d(), model, n))
+      assert(e.getMessage.contains("maxTuples"), e.getMessage)
+    }
+  }
+
   test("responsibilities equal the naive greedy on random models and tuples") {
     var multiRound, partition, unseen, conforming, nan, inf = 0
     (1 to 60).foreach { seed =>
@@ -156,6 +168,107 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
       DisjunctiveInvariant(s"d$a", Seq("a", "b").map(c => c -> RandomModels.fitted(rnd, sources(c), cols)).toMap)
     }
     (ConformanceModel(cols, RandomModels.fitted(rnd, sources("a"), cols), disjunctive), sources)
+  }
+
+  /** A tuple for [[sharedSourceModel]] with two attributes: each category
+    * is sometimes null or unseen, an attribute is sometimes NaN or ±∞, and
+    * up to two attributes are shifted, so about a third of the clean tuples
+    * conform.
+    */
+  private def messyTuple(rnd: Random, m: Int, sources: Map[String, RandomModels.Source])
+      : (Map[String, Option[String]], Array[Double]) = {
+    val key = if (rnd.nextBoolean()) "a" else "b"
+    def category(): Option[String] = rnd.nextInt(10) match {
+      case 0 => None
+      case 1 => Some("unseen")
+      case _ => Some(key)
+    }
+    val pv = Map("d0" -> category(), "d1" -> category())
+    val x = sources(key).draw(rnd)
+    rnd.shuffle((0 until m).toList).take(rnd.nextInt(3))
+      .foreach(i => x(i) += rnd.between(5.0, 40.0) * (if (rnd.nextBoolean()) 1 else -1))
+    rnd.nextInt(10) match {
+      case 0 => x(rnd.nextInt(m)) = Double.NaN
+      case 1 => x(rnd.nextInt(m)) = if (rnd.nextBoolean()) Double.PositiveInfinity else Double.NegativeInfinity
+      case _ =>
+    }
+    (pv, x)
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  test("aggregate equals the sample-order mean of the serial repair, bit for bit") {
+    val m = 6
+    val rnd = new Random(11)
+    val (model, sources) = sharedSourceModel(rnd, m, 2)
+    // Every other NaN goes in as a null, which aggregate also reads as NaN.
+    val rows = (0 until 360).map { t =>
+      val (pv, x) = messyTuple(rnd, m, sources)
+      Row.fromSeq(pv("d0").orNull +: pv("d1").orNull +: x.toSeq.map(v => if (v.isNaN && t % 2 == 0) null else v))
+    }
+    val schema = StructType(Seq("d0", "d1").map(StructField(_, StringType)) ++
+      model.numericCols.map(StructField(_, DoubleType)))
+    val df = spark.createDataFrame(rows.asJava, schema)
+    val n = 300
+    assert(model.partitionAttrs == Seq("d0", "d1"))
+
+    val sample = df.select(ViolationExpr.inputs(model): _*).limit(n).collect()
+    assert(sample.length == n)
+    var conforming, nullCat, unseen, nan, inf, multiRound = 0
+    val sums = new Array[Double](m)
+    sample.foreach { r =>
+      val x = Array.tabulate(m)(i => if (r.isNullAt(i)) Double.NaN else r.getDouble(i))
+      val pv = model.partitionAttrs.indices.map(a => model.partitionAttrs(a) -> Option(r.getString(m + a))).toMap
+      val resp = ExTuNe.tupleResponsibility(model, pv, x)
+      (0 until m).foreach(i => sums(i) += resp(i))
+      if (model.violation(pv, x) <= ExTuNe.ConformEps) conforming += 1
+      if (pv.values.exists(_.isEmpty)) nullCat += 1
+      if (pv.values.exists(_.contains("unseen"))) unseen += 1
+      if (x.exists(_.isNaN)) nan += 1
+      if (x.exists(_.isInfinite)) inf += 1
+      if (resp.exists(r => r > 0 && r < 0.5)) multiRound += 1
+    }
+    val want = sums.map(_ / n)
+
+    val got = ExTuNe.aggregate(df, model, n)
+    assert(got.map(_._1) == model.numericCols)
+    assert(bits(got.map(_._2).toArray) == bits(want), s"got ${got.map(_._2)}, want ${want.toSeq}")
+    assert(conforming > 0 && nullCat > 0 && unseen > 0 && nan > 0 && inf > 0 && multiRound > 0,
+      s"coverage: conforming $conforming nullCat $nullCat unseen $unseen nan $nan inf $inf multiRound $multiRound")
+  }
+
+  test("a deserialized model shared by 8 threads gives the single-threaded bits") {
+    val m = 6
+    val rnd = new Random(12)
+    val (model, sources) = sharedSourceModel(rnd, m, 2)
+    val tuples = IndexedSeq.fill(200)(messyTuple(rnd, m, sources))
+    def run(mdl: ConformanceModel, from: Int): IndexedSeq[(Seq[Int], Seq[Long])] =
+      tuples.indices.map { i =>
+        val (pv, x) = tuples((from + i) % tuples.size)
+        (mdl.branchIndexes(pv).toSeq, bits(ExTuNe.tupleResponsibility(mdl, pv, x)))
+      }
+    val want = run(model, 0)
+
+    // A deserialized copy starts with its branch lookups unbuilt, so the
+    // threads race to build them; each starts at its own tuple.
+    val bos = new java.io.ByteArrayOutputStream()
+    new java.io.ObjectOutputStream(bos).writeObject(model)
+    val shared = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[ConformanceModel]
+    val threads = 8
+    val barrier = new CyclicBarrier(threads)
+    val pool = Executors.newFixedThreadPool(threads)
+    try {
+      val results = pool.invokeAll((0 until threads).map { th =>
+        new Callable[IndexedSeq[(Seq[Int], Seq[Long])]] {
+          def call() = { barrier.await(); run(shared, th * 25) }
+        }
+      }.asJava).asScala.map(_.get())
+      results.zipWithIndex.foreach { case (got, th) =>
+        val rotated = want.drop(th * 25) ++ want.take(th * 25)
+        assert(got == rotated, s"thread $th")
+      }
+    } finally pool.shutdown()
   }
 
   test("responsibilities equal the naive greedy on larger models with one or two disjunctive attributes") {
