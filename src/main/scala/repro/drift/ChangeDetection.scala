@@ -1,6 +1,6 @@
 package repro.drift
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.linalg.{Eigen, Mat}
 import repro.stats.{Moments, Standardizer}
@@ -42,7 +42,29 @@ object ChangeDetection {
       hi: Array[Double],
       refHist: Array[Array[Double]],
       bins: Int,
-  ) extends Serializable
+  ) {
+
+    /** `df` with each row's component scores appended. */
+    def withScores(df: DataFrame): DataFrame = scores(df, cols, z, components)
+
+    /** Bin counts over the scores [[withScores]] appends, as aggregate
+      * columns, component-major; a row with a null or NaN attribute is in none.
+      */
+    def binCounts: Seq[Column] = ChangeDetection.binCounts(lo, hi, bins)
+
+    /** The largest per-component divergence under `metric` from the reference
+      * window of a window with bin counts `counts`.
+      */
+    def divergence(counts: Array[Double], metric: Metric): Double = {
+      val per = refHist.zip(histograms(counts, bins)).map { case (p, q) =>
+        metric match {
+          case MKL  => math.max(kl(p, q), kl(q, p))
+          case Area => 1.0 - p.zip(q).map { case (a, b) => math.min(a, b) }.sum
+        }
+      }
+      if (per.isEmpty) 0.0 else per.max
+    }
+  }
 
   /** Fit on the reference window.
     *
@@ -64,19 +86,16 @@ object ChangeDetection {
     val total = eig.values.map(math.max(_, 0.0)).sum.max(1e-12)
     // Descending order: take from the top until the fraction is covered.
     val desc = (m - 1) to 0 by -1
-    val kept = Seq.newBuilder[Int]
-    var cum = 0.0
-    for (k <- desc if cum < varianceFraction) { kept += k; cum += math.max(eig.values(k), 0.0) / total }
-    val idx = kept.result()
+    val before = desc.map(k => math.max(eig.values(k), 0.0) / total).scanLeft(0.0)(_ + _)
+    val idx = desc.zip(before).takeWhile(_._2 < varianceFraction).map(_._1)
     val comps = idx.map(eig.vector).toArray
 
     // Component score range on the reference window, widened by 50% per side
     // so moderately drifted data still lands in the histogram.
-    val projCols = comps.zipWithIndex.map { case (_, i) => s"__p$i" }
-    val projected = project(df, numericCols, z, comps)
+    val scored = scores(df, numericCols, z, comps)
     val k = comps.length
-    val bounds = projCols.map(c => min(col(c))) ++ projCols.map(c => max(col(c)))
-    val range = projected.agg(bounds.head, bounds.tail: _*).head()
+    val bounds = (0 until k).map(i => min(score(i))) ++ (0 until k).map(i => max(score(i)))
+    val range = scored.agg(bounds.head, bounds.tail: _*).head()
     val lo = new Array[Double](k)
     val hi = new Array[Double](k)
     for (i <- comps.indices) {
@@ -84,65 +103,49 @@ object ChangeDetection {
       val w = math.max(b - a, 1e-9)
       lo(i) = a - 0.5 * w; hi(i) = b + 0.5 * w
     }
-    val refHist = histograms(projected, projCols, lo, hi, bins)
+    val refHist = histograms(aggregate(scored, binCounts(lo, hi, bins)), bins)
     Model(numericCols, z, comps, lo, hi, refHist, bins)
   }
 
   /** Divergence of `df` from the reference window under `metric`. */
-  def drift(df: DataFrame, model: Model, metric: Metric): Double = {
-    val projCols = model.components.indices.map(i => s"__p$i")
-    val projected = project(df, model.cols, model.z, model.components)
-    val hist = histograms(projected, projCols, model.lo, model.hi, model.bins)
-    val per = model.components.indices.map { k =>
-      metric match {
-        case MKL  => math.max(kl(model.refHist(k), hist(k)), kl(hist(k), model.refHist(k)))
-        case Area => 1.0 - model.refHist(k).zip(hist(k)).map { case (p, q) => math.min(p, q) }.sum
-      }
-    }
-    if (per.isEmpty) 0.0 else per.max
+  def drift(df: DataFrame, model: Model, metric: Metric): Double =
+    model.divergence(aggregate(model.withScores(df), model.binCounts), metric)
+
+  private def aggregate(df: DataFrame, aggs: Seq[Column]): Array[Double] = {
+    val row = df.agg(aggs.head, aggs.tail: _*).head()
+    Array.tabulate(aggs.length)(row.getDouble)
   }
 
-  private def project(
-      df: DataFrame,
-      cols: Seq[String],
-      z: Standardizer,
-      comps: Array[Array[Double]],
-  ): DataFrame = {
-    val arr = array(cols.map(c => col(c).cast("double")): _*)
-    val f = udf { (xs: Seq[Double]) =>
-      val zx = z(xs.toArray)
-      comps.map(cvec => Mat.dot(cvec, zx)).toSeq
-    }
-    val projected = df.na.drop(cols).withColumn("__proj", f(arr))
-    comps.indices.foldLeft(projected) { (d, i) =>
-      d.withColumn(s"__p$i", col("__proj").getItem(i))
-    }
+  private def score(k: Int): Column = col(s"__cd$k")
+
+  /** `df` with the dot product of component k and the row's z-scores appended
+    * as [[score]](k): a projection of its own, so below an aggregate a row
+    * computes each score once, not once per bin.
+    */
+  private def scores(df: DataFrame, cols: Seq[String], z: Standardizer, comps: Array[Array[Double]]): DataFrame = {
+    val zs = z.columns(cols)
+    df.select(col("*") +: comps.toSeq.zipWithIndex.map { case (c, k) => Mat.dot(c, zs).as(s"__cd$k") }: _*)
   }
 
-  /** Per-component normalized histograms in one grouped pass per component. */
-  private def histograms(
-      df: DataFrame,
-      projCols: Seq[String],
-      lo: Array[Double],
-      hi: Array[Double],
-      bins: Int,
-  ): Array[Array[Double]] = {
-    // One aggregation computing all bin counts: sum of indicator expressions.
-    val exprs = projCols.zipWithIndex.flatMap { case (c, k) =>
+  /** Equal-width bin counts of each component score as sums of indicators,
+    * component-major; the last bin is closed above.
+    */
+  private def binCounts(lo: Array[Double], hi: Array[Double], bins: Int): Seq[Column] =
+    lo.indices.flatMap { k =>
       val width = (hi(k) - lo(k)) / bins
       (0 until bins).map { b =>
         val a = lo(k) + b * width
         val z = if (b == bins - 1) hi(k) + 1e-12 else lo(k) + (b + 1) * width
-        sum(when(col(c) >= a && col(c) < z, 1.0).otherwise(0.0))
+        sum(when(score(k) >= a && score(k) < z, 1.0).otherwise(0.0))
       }
     }
-    val row = df.agg(exprs.head, exprs.tail: _*).head()
-    projCols.indices.map { k =>
-      val counts = Array.tabulate(bins)(b => row.getDouble(k * bins + b))
-      val total = math.max(counts.sum, 1.0)
-      counts.map(_ / total)
+
+  /** Component-major bin counts → per-component normalized densities. */
+  private def histograms(counts: Array[Double], bins: Int): Array[Array[Double]] =
+    counts.grouped(bins).map { c =>
+      val total = math.max(c.sum, 1.0)
+      c.map(_ / total)
     }.toArray
-  }
 
   /** KL(p‖q) with ε-smoothing against empty bins. */
   private def kl(p: Array[Double], q: Array[Double]): Double = {

@@ -1,6 +1,6 @@
 package repro.drift
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.linalg.{Eigen, Mat}
 import repro.stats.{Moments, Standardizer}
@@ -34,18 +34,15 @@ object PcaSpll {
       z: Standardizer,
       components: Array[Array[Double]],
       variances: Array[Double],
-  ) extends Serializable {
+  ) {
 
-    /** Squared Mahalanobis distance of one tuple in the retained subspace. */
-    def mahalanobis2(x: Array[Double]): Double = {
-      val zx = z(x)
-      var s = 0.0; var k = 0
-      while (k < components.length) {
-        val p = Mat.dot(components(k), zx)
-        s += p * p / variances(k)
-        k += 1
-      }
-      s
+    /** Each row's squared Mahalanobis distance in the retained subspace,
+      * `Σₖ pₖ² / varianceₖ` over its component scores pₖ: null on a row
+      * with a null or NaN attribute ([[Standardizer.columns]]).
+      */
+    def statistic: Column = {
+      val zs = z.columns(cols)
+      components.map(Mat.dot(_, zs)).zip(variances).foldLeft(lit(0.0)) { case (s, (p, v)) => s + p * p / v }
     }
   }
 
@@ -63,16 +60,8 @@ object PcaSpll {
     val total = eig.values.map(math.max(_, 0.0)).sum.max(1e-12)
 
     // Ascending order: accumulate the low-variance tail below the fraction.
-    val kept = Seq.newBuilder[Int]
-    var cum = 0.0
-    var k = 0
-    var done = false
-    while (k < m && !done) {
-      cum += math.max(eig.values(k), 0.0) / total
-      if (cum < varianceFraction || k == 0) kept += k else done = true
-      k += 1
-    }
-    val idx = kept.result()
+    val cum = (0 until m).map(k => math.max(eig.values(k), 0.0) / total).scanLeft(0.0)(_ + _).tail
+    val idx = (0 until m).takeWhile(k => cum(k) < varianceFraction || k == 0)
     Model(
       numericCols,
       mom.standardizer,
@@ -81,11 +70,11 @@ object PcaSpll {
     )
   }
 
-  /** SPLL change statistic of `df` w.r.t. the reference model. */
+  /** SPLL change statistic of `df` w.r.t. the reference model: the mean
+    * [[Model.statistic]] over the rows with no null or NaN attribute.
+    */
   def drift(df: DataFrame, model: Model): Double = {
-    val arr = array(model.cols.map(c => col(c).cast("double")): _*)
-    val f = udf((xs: Seq[Double]) => model.mahalanobis2(xs.toArray))
-    val row = df.na.drop(model.cols).withColumn("__m", f(arr)).agg(avg(col("__m"))).head()
+    val row = df.agg(avg(model.statistic)).head()
     if (row.isNullAt(0)) 0.0 else row.getDouble(0)
   }
 }

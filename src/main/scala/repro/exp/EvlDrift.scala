@@ -1,7 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Disynth
+import org.apache.spark.sql.functions.{avg, lit}
+import repro.core.{Disynth, ViolationExpr}
 import repro.data.Evl
 import repro.drift.{ChangeDetection, PcaSpll}
 import repro.stats.Stats
@@ -23,6 +24,9 @@ object EvlDrift {
       corr: Map[String, Double],
   )
 
+  /** Fits every method on window 1 of each stream, then scores all windows
+    * in one job grouped by window; both CD metrics share its bin counts.
+    */
   def run(
       spark: SparkSession,
       datasets: Seq[String] = Evl.Datasets,
@@ -30,35 +34,30 @@ object EvlDrift {
       pointsPerClass: Int = 300,
       seed: Long = 23,
   ): Seq[DatasetResult] = datasets.map { name =>
-    val w1 = Evl.window(spark, name, 1, nWindows, pointsPerClass, seed).cache()
-    try {
-      val xy = Seq("x", "y")
-      val dis = Disynth.fit(w1, xy, Seq("cls"))
-      val spll = PcaSpll.fit(w1, xy)
-      val cd = ChangeDetection.fit(w1, xy)
+    val w1 = Evl.window(spark, name, 1, nWindows, pointsPerClass, seed)
+    val xy = Seq("x", "y")
+    val dis = Disynth.fit(w1, xy, Seq("cls"))
+    val spll = PcaSpll.fit(w1, xy)
+    val cd = ChangeDetection.fit(w1, xy)
 
-      val raw = (1 to nWindows).map { w =>
-        val dw = Evl.window(spark, name, w, nWindows, pointsPerClass, seed + 7777).cache()
-        try {
-          (
-            Disynth.avgViolation(dw, dis),
-            PcaSpll.drift(dw, spll),
-            ChangeDetection.drift(dw, cd, ChangeDetection.MKL),
-            ChangeDetection.drift(dw, cd, ChangeDetection.Area),
-          )
-        } finally dw.unpersist()
-      }
+    val windows = (1 to nWindows)
+      .map(w => Evl.window(spark, name, w, nWindows, pointsPerClass, seed + 7777).withColumn("window", lit(w)))
+      .reduce(_ unionAll _)
+    val cdBins = cd.binCounts
+    val rows = cd.withScores(windows).groupBy("window")
+      .agg(avg(ViolationExpr.column(dis)), avg(spll.statistic) +: cdBins: _*)
+      .collect().sortBy(_.getInt(0)).toSeq
+    val counts = rows.map(r => Array.tabulate(cdBins.length)(b => r.getDouble(3 + b)))
+    val raw = Map(
+      "DISYNTH" -> rows.map(_.getDouble(1)),
+      "PCA-SPLL" -> rows.map(_.getDouble(2)),
+      "CD-MKL" -> counts.map(cd.divergence(_, ChangeDetection.MKL)),
+      "CD-Area" -> counts.map(cd.divergence(_, ChangeDetection.Area)),
+    )
 
-      val gtRaw = (1 to nWindows).map(w => Evl.groundTruth(name, w, nWindows))
-      val gt = Stats.minMaxNormalize(gtRaw)
-      val curves = Map(
-        "DISYNTH" -> Stats.minMaxNormalize(raw.map(_._1)),
-        "PCA-SPLL" -> Stats.minMaxNormalize(raw.map(_._2)),
-        "CD-MKL" -> Stats.minMaxNormalize(raw.map(_._3)),
-        "CD-Area" -> Stats.minMaxNormalize(raw.map(_._4)),
-      )
-      val corr = curves.map { case (m, c) => m -> Stats.pearson(gtRaw, c) }
-      DatasetResult(name, gt, curves, corr)
-    } finally w1.unpersist()
+    val gtRaw = (1 to nWindows).map(w => Evl.groundTruth(name, w, nWindows))
+    val curves = raw.map { case (m, v) => m -> Stats.minMaxNormalize(v) }
+    val corr = curves.map { case (m, c) => m -> Stats.pearson(gtRaw, c) }
+    DatasetResult(name, Stats.minMaxNormalize(gtRaw), curves, corr)
   }
 }

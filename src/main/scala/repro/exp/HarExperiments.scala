@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Disynth
+import repro.core.{ConformanceModel, Disynth, ViolationExpr}
 import repro.data.Har
 import repro.linalg.Mat
 import repro.ml.LogisticRegression
@@ -63,8 +63,9 @@ object HarExperiments {
     */
   private val DriftCycle: Seq[String] = Seq("lying", "walking", "sitting", "running", "standing")
 
-  private def initialActivity(personIdx: Int): String = DriftCycle(personIdx % 5)
-  private def switchedActivity(personIdx: Int): String = DriftCycle((personIdx + 1) % 5)
+  /** The activity person `personIdx` performs once `k` persons switched. */
+  private def activityAt(personIdx: Int, k: Int): String =
+    DriftCycle((personIdx + (if (personIdx < k) 1 else 0)) % 5)
 
   /** One point of the Fig. 5(b) curves. */
   final case class DriftPoint(k: Int, disynth: Double, wpca: Double)
@@ -80,24 +81,31 @@ object HarExperiments {
       seed: Long = 7,
   ): Seq[DriftPoint] = {
     withCached(Har.data(spark, rowsPerPersonActivity, seed)) { all =>
-      def slice(personIdx: Int, activity: String, train: Boolean): DataFrame = {
-        val base = all.filter(col("person") === Har.Persons(personIdx) && col("activity") === activity)
-        if (train) Har.trainHalf(base) else Har.holdHalf(base)
-      }
-      val initial = Har.Persons.indices.map(i => slice(i, initialActivity(i), train = true)).reduce(_ unionAll _)
-      withCached(initial) { initialTrain =>
-        val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
-        // W-PCA is DISYNTH without disjunction: one global simple invariant.
-        val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
+      val initial = Har.Persons.indices
+        .map(i => col("person") === Har.Persons(i) && col("activity") === activityAt(i, 0))
+        .reduce(_ || _)
+      val initialTrain = Har.trainHalf(all.filter(initial))
+      val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
+      // W-PCA is DISYNTH without disjunction: one global simple invariant.
+      val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
+      driftCurve(Har.holdHalf(all), disModel, wpcaModel)
+    }
+  }
 
-        (0 to Har.Persons.length).map { k =>
-          val current = Har.Persons.indices.map { i =>
-            val act = if (i < k) switchedActivity(i) else initialActivity(i)
-            slice(i, act, train = false)
-          }.reduce(_ unionAll _)
-          DriftPoint(k, Disynth.avgViolation(current, disModel), Disynth.avgViolation(current, wpcaModel))
-        }
-      }
+  /** The Fig. 5(b) points from one grouped score of the held-out rows: the
+    * violation sums and row count of every (person, activity) pair under
+    * both models, combined on the driver into each K's average.
+    */
+  private[exp] def driftCurve(hold: DataFrame, dis: ConformanceModel, wpca: ConformanceModel): Seq[DriftPoint] = {
+    val cells = hold.groupBy("person", "activity")
+      .agg(sum(ViolationExpr.column(dis)), sum(ViolationExpr.column(wpca)), count(lit(1)))
+      .collect()
+      .map(r => (r.getString(0), r.getString(1)) -> (r.getDouble(2), r.getDouble(3), r.getLong(4)))
+      .toMap
+    (0 to Har.Persons.length).map { k =>
+      val current = Har.Persons.indices.map(i => cells((Har.Persons(i), activityAt(i, k))))
+      val n = current.map(_._3).sum.toDouble
+      DriftPoint(k, current.map(_._1).sum / n, current.map(_._2).sum / n)
     }
   }
 
@@ -137,23 +145,20 @@ object HarExperiments {
   }
 
   /** The Figs. 6/7 loop: for each value of `rowCol`, fit invariants
-    * (disjunctive over `partCol`) on the train half of its rows, score the
-    * held-out half of `all`, and average the violation per `rowCol` value.
-    * Cell (i, j) is the violation of `labels(j)`'s data against
-    * `labels(i)`'s invariants.
+    * (disjunctive over `partCol`) on the train half of its rows; then score
+    * the held-out half of `all` under every model in one job, averaging
+    * each model's violation per `rowCol` value. Cell (i, j) is the
+    * violation of `labels(j)`'s data against `labels(i)`'s invariants.
     */
   private def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
-    withCached(Har.holdHalf(all)) { hold =>
-      val m = Mat.zeros(labels.length, labels.length)
-      labels.zipWithIndex.foreach { case (l, i) =>
-        val model = Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol))
-        val scored = Disynth.score(hold, model)
-          .groupBy(col(rowCol)).agg(avg(col("violation")))
-          .collect()
-          .map(r => r.getString(0) -> r.getDouble(1)).toMap
-        labels.zipWithIndex.foreach { case (q, j) => m(i, j) = scored(q) }
-      }
-      m
-    }
+    val models = labels.map(l => Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol)))
+    val avgs = models.map(model => avg(ViolationExpr.column(model)))
+    val byLabel = Har.holdHalf(all).groupBy(col(rowCol)).agg(avgs.head, avgs.tail: _*)
+      .collect()
+      .map(r => r.getString(0) -> r)
+      .toMap
+    val m = Mat.zeros(labels.length, labels.length)
+    for (i <- labels.indices; j <- labels.indices) m(i, j) = byLabel(labels(j)).getDouble(1 + i)
+    m
   }
 }

@@ -18,20 +18,17 @@ import repro.stats.Moments
 object LinearRegression {
 
   /** A fitted model: ŷ = intercept + Σ weights(i)·x(i). */
-  final case class Model(features: Seq[String], intercept: Double, weights: Array[Double])
-      extends Serializable {
+  final case class Model(features: Seq[String], intercept: Double, weights: Array[Double]) {
 
     def predict(x: Array[Double]): Double = intercept + Mat.dot(weights, x)
 
-    /** Append column `outCol` with predictions. */
-    def transform(df: DataFrame, outCol: String = "prediction"): DataFrame = {
-      val self = this
-      val arr = array(features.map(c => col(c).cast("double")): _*)
-      val f = udf((xs: Seq[Double]) => self.predict(xs.toArray))
-      df.withColumn(outCol, f(arr))
-    }
+    /** Append column `outCol` with predictions, with the bits of
+      * [[predict]]; a row with a null feature gets a null prediction.
+      */
+    def transform(df: DataFrame, outCol: String = "prediction"): DataFrame =
+      df.withColumn(outCol, lit(intercept) + Mat.dot(weights, features.map(c => col(c).cast("double"))))
 
-    /** Mean absolute error of predictions against `target` on `df`. */
+    /** Mean absolute error of the predictions against `target` on `df`. */
     def mae(df: DataFrame, target: String): Double =
       transform(df, "__p")
         .agg(avg(abs(col("__p") - col(target).cast("double"))))

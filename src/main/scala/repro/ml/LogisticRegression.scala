@@ -2,6 +2,7 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.linalg.Mat
 import repro.stats.{Moments, Standardizer}
 
 /** Multiclass (softmax) logistic regression — the classifier substrate the
@@ -29,7 +30,7 @@ object LogisticRegression {
       labels: Seq[String],
       z: Standardizer,
       weights: Array[Array[Double]],
-  ) extends Serializable {
+  ) {
 
     /** Predicted label for a raw (unstandardized) feature vector. */
     def predict(x: Array[Double]): String = {
@@ -45,15 +46,27 @@ object LogisticRegression {
       labels(best)
     }
 
-    /** Append `outCol` with the predicted label. */
+    /** Append `outCol` with the predicted label: the first label of highest
+      * score, as [[predict]] picks it from the same score bits. A row with a
+      * null or NaN feature gets a null label.
+      */
     def transform(df: DataFrame, outCol: String = "predicted"): DataFrame = {
-      val self = this
-      val arr = array(features.map(c => col(c).cast("double")): _*)
-      val f = udf((xs: Seq[Double]) => self.predict(xs.toArray))
-      df.withColumn(outCol, f(arr))
+      val zs = features.indices.map(i => s"__z$i")
+      val ss = labels.indices.map(k => s"__score$k")
+      // Projections of their own, so a row computes each z-score and score
+      // once. A null z-score becomes NaN, which makes every score NaN, and
+      // the scores compile without null checks.
+      val scored = df
+        .select(col("*") +: z.columns(features).zip(zs).map { case (c, n) => coalesce(c, lit(Double.NaN)).as(n) }: _*)
+        .select(col("*") +: weights.toSeq.zip(ss).map { case (w, n) => Mat.dot(w.tail, zs.map(col), lit(w(0))).as(n) }: _*)
+      val best = if (ss.length == 1) col(ss.head) else greatest(ss.map(col): _*)
+      val label = labels.indices.tail.foldLeft(when(col(ss.head) === best, labels.head)) { (c, k) =>
+        c.when(col(ss(k)) === best, labels(k))
+      }
+      scored.withColumn(outCol, when(!isnan(best), label)).drop(zs ++ ss: _*)
     }
 
-    /** Fraction of rows of `df` whose prediction matches `labelCol`. */
+    /** Fraction of rows of `df` whose prediction matches `labelCol` (none is a miss). */
     def accuracy(df: DataFrame, labelCol: String): Double =
       transform(df, "__pred")
         .agg(avg(when(col("__pred") === col(labelCol).cast("string"), 1.0).otherwise(0.0)))
@@ -75,21 +88,17 @@ object LogisticRegression {
       l2: Double = 1e-4,
   ): Model = {
     require(features.nonEmpty, "LogisticRegression.fit: no features")
-    val z = Moments.of(df, features).standardizer
+    val complete = df.na.drop(labelCol +: features)
+    val z = Moments.of(complete, features).standardizer
 
-    val arr = array(features.map(c => col(c).cast("double")): _*)
-    val rows = df
-      .select(col(labelCol).cast("string").as("__y"), arr.as("__x"))
-      .na.drop()
-      .collect()
-      .map(r => (r.getString(0), r.getSeq[Double](1).toArray))
+    val rows = complete.select(col(labelCol).cast("string") +: z.columns(features): _*).collect()
     require(rows.nonEmpty, "LogisticRegression.fit: empty training data")
 
-    val labels = rows.map(_._1).distinct.sorted.toSeq
+    val labels = rows.map(_.getString(0)).distinct.sorted.toSeq
     val labelIdx = labels.zipWithIndex.toMap
     val m = features.length
-    val x = rows.map { case (_, raw) => z(raw) }
-    val y = rows.map(r => labelIdx(r._1))
+    val x = rows.map(r => Array.tabulate(m)(i => r.getDouble(i + 1)))
+    val y = rows.map(r => labelIdx(r.getString(0)))
     val nK = labels.length
     val n = rows.length
 

@@ -1,8 +1,10 @@
 package repro.drift
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.core.Disynth
+import repro.linalg.Mat
 
 class DriftBaselinesSpec extends SparkSpec {
 
@@ -102,6 +104,78 @@ class DriftBaselinesSpec extends SparkSpec {
     val model = ChangeDetection.fit(twoClusterRotation(3000, 0.0, 21), Seq("x", "y"))
     val rotated = ChangeDetection.drift(twoClusterRotation(3000, math.Pi, 22), model, ChangeDetection.Area)
     assert(rotated < 0.2, s"rotated=$rotated")
+  }
+
+  // ---------------- Column statistics ----------------
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
+  // Offset and scaled attributes, so no z-score or dot product is trivial;
+  // three of them, so a dot product's summation order shows in its bits.
+  private val xyv = Seq("x", "y", "v")
+  private lazy val skewed = {
+    val rnd = new scala.util.Random(26)
+    (1 to 600).map { _ =>
+      val a = rnd.nextGaussian()
+      (3e3 + 40 * a, -7.0 + 0.3 * a + 0.2 * rnd.nextGaussian(), 1e-3 * rnd.nextGaussian() - 2 * a)
+    }.toDF("x", "y", "v")
+  }
+
+  // A frame with one null row and one NaN row after the clean rows; the
+  // clean rows keep their partitions, so every sum meets them in the same
+  // order.
+  private def withDirtyRows(df: DataFrame): DataFrame =
+    df.union(Seq[(Option[Double], Double, Double)]((None, 1.0, 0.0), (Some(Double.NaN), 2.0, 0.0)).toDF("x", "y", "v"))
+
+  test("PCA-SPLL columns equal a plain-Scala reference bit for bit") {
+    val model = PcaSpll.fit(skewed, xyv, varianceFraction = 1.5)
+    assert(model.components.length == 3)
+    val zs = model.z.columns(model.cols)
+    val ps = model.components.toSeq.map(Mat.dot(_, zs))
+    val rows = skewed.select((xyv.map(col) ++ zs ++ ps :+ model.statistic): _*).collect()
+    rows.foreach { r =>
+      val zx = model.z(Array.tabulate(3)(r.getDouble))
+      val p = model.components.map(Mat.dot(_, zx))
+      var m2 = 0.0
+      p.indices.foreach(k => m2 += p(k) * p(k) / model.variances(k))
+      val expected = zx ++ p :+ m2
+      expected.indices.foreach(i => assert(bits(r.getDouble(3 + i)) == bits(expected(i)), s"column $i of $r"))
+    }
+  }
+
+  test("CD bin counts equal a plain-Scala reference bit for bit") {
+    val model = ChangeDetection.fit(skewed, xyv)
+    // Far enough that some rows fall off the histogram range.
+    val shifted = skewed.select((col("x") + 300).as("x"), col("y"), col("v"))
+    val counts = model.withScores(shifted).agg(model.binCounts.head, model.binCounts.tail: _*).head()
+    val expected = Array.fill(model.components.length, model.bins)(0.0)
+    shifted.collect().foreach { r =>
+      val zx = model.z(Array.tabulate(3)(r.getDouble))
+      model.components.indices.foreach { k =>
+        val p = Mat.dot(model.components(k), zx)
+        val width = (model.hi(k) - model.lo(k)) / model.bins
+        val bin = (0 until model.bins).find { b =>
+          val top = if (b == model.bins - 1) model.hi(k) + 1e-12 else model.lo(k) + (b + 1) * width
+          p >= model.lo(k) + b * width && p < top
+        }
+        bin.foreach(b => expected(k)(b) += 1.0)
+      }
+    }
+    val flat = expected.flatten
+    assert(flat.sum > 0 && flat.sum < shifted.count() * model.components.length)
+    flat.indices.foreach(i => assert(bits(counts.getDouble(i)) == bits(flat(i)), s"bin count $i"))
+  }
+
+  test("a null row and a NaN row leave PCA-SPLL and CD drift bit-identical") {
+    val spll = PcaSpll.fit(skewed, xyv)
+    val cd = ChangeDetection.fit(skewed, xyv)
+    val window = skewed.select((col("x") + 20).as("x"), col("y"), col("v"))
+    val dirty = withDirtyRows(window)
+    assert(dirty.count() == window.count() + 2)
+    assert(bits(PcaSpll.drift(dirty, spll)) == bits(PcaSpll.drift(window, spll)))
+    Seq(ChangeDetection.MKL, ChangeDetection.Area).foreach { metric =>
+      assert(bits(ChangeDetection.drift(dirty, cd, metric)) == bits(ChangeDetection.drift(window, cd, metric)), s"$metric")
+    }
   }
 
   // ---------------- W-PCA ----------------

@@ -1,12 +1,12 @@
 package repro.exp
 
-import repro.SparkSpec
+import repro.{JobCounts, SparkSpec}
 
 /** Small-scale integration run of the Figure 8 experiment on three
   * representative streams: one global translation (1CDT), one pure local
   * rotation (4CR), one label-rotation (FG-2C-2D).
   */
-class EvlDriftSpec extends SparkSpec {
+class EvlDriftSpec extends SparkSpec with JobCounts {
 
   private lazy val results = EvlDrift.run(spark,
     datasets = Seq("1CDT", "4CR", "FG-2C-2D"), nWindows = 8, pointsPerClass = 200)
@@ -59,5 +59,17 @@ class EvlDriftSpec extends SparkSpec {
     results.foreach { r =>
       assert(r.curves("DISYNTH").head < 0.1, s"${r.dataset}: ${r.curves("DISYNTH").head}")
     }
+  }
+
+  test("one stream costs its fits plus one grouped score job") {
+    var rerun: Seq[EvlDrift.DatasetResult] = Nil
+    val counts = jobsAndStages {
+      rerun = EvlDrift.run(spark, datasets = Seq("1CDT"), nWindows = 8, pointsPerClass = 200)
+    }
+    // DISYNTH, PCA-SPLL and CD's moments each take one scan; CD's score
+    // range and reference histogram take one aggregate each; all windows
+    // score in one grouped aggregate. Each is one job of one stage.
+    assert(counts == (6, 6))
+    assert(rerun.head == byName("1CDT"))
   }
 }

@@ -1,10 +1,11 @@
 package repro.exp
 
-import repro.SparkSpec
+import repro.{JobCounts, SparkSpec}
+import repro.core.Disynth
 import repro.data.Har
 
 /** Small-scale integration runs of the Figure 5/6/7 experiments. */
-class HarExperimentsSpec extends SparkSpec {
+class HarExperimentsSpec extends SparkSpec with JobCounts {
 
   test("mixCurve (Fig 5a): violation and accuracy drop rise together, strongly correlated") {
     val res = HarExperiments.mixCurve(spark, rowsPerPersonActivity = 60,
@@ -30,6 +31,19 @@ class HarExperimentsSpec extends SparkSpec {
     // W-PCA: the global mixture never changes — flat, and far below DISYNTH.
     assert(wp.max - wp.min < 0.05, s"W-PCA moved: $wp")
     assert(dis.last > 4 * wp.last + 0.1, s"DISYNTH ${dis.last} vs W-PCA ${wp.last}")
+  }
+
+  test("gradualDrift (Fig 5b) scores every K in one grouped job") {
+    // A fixed partition count, so the job count is the same at any local[N].
+    val all = Har.data(spark, rowsPerPersonActivity = 20).repartition(4).cache()
+    try {
+      val dis = Disynth.fit(Har.trainHalf(all), Har.FeatureCols, Seq("person"))
+      val wpca = Disynth.fit(Har.trainHalf(all), Har.FeatureCols)
+      var pts: Seq[HarExperiments.DriftPoint] = Nil
+      // One grouped aggregate: a map-stage job and a result job.
+      assert(jobsAndStages { pts = HarExperiments.driftCurve(Har.holdHalf(all), dis, wpca) } == (2, 2))
+      assert(pts.map(_.k) == (0 to Har.Persons.length))
+    } finally all.unpersist()
   }
 
   test("interPerson (Fig 6): self-violation is near zero, cross-violation substantial") {

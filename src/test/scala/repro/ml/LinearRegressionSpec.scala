@@ -52,6 +52,23 @@ class LinearRegressionSpec extends SparkSpec {
     assert(math.abs(r - 30.0) < 1e-6)
   }
 
+  test("transform equals predict bit for bit, and a null feature gives a null prediction that mae skips") {
+    val rnd = new scala.util.Random(4)
+    // Three features, so the summation order shows in the bits.
+    val df = (1 to 200).map { _ =>
+      val a = rnd.nextGaussian() * 1e3; val b = rnd.nextDouble(); val c = rnd.nextGaussian() * 1e-3
+      (Option(a), b, c, 0.3 * a - 7 * b + 50 * c + rnd.nextGaussian())
+    }.toDF("a", "b", "c", "y")
+    val m = LinearRegression.fit(df, Seq("a", "b", "c"), "y")
+    m.transform(df, "pred").collect().foreach { r =>
+      val expected = m.predict(Array(r.getDouble(0), r.getDouble(1), r.getDouble(2)))
+      assert(java.lang.Double.doubleToRawLongBits(r.getDouble(4)) == java.lang.Double.doubleToRawLongBits(expected))
+    }
+    val withNull = df.union(Seq((Option.empty[Double], 0.5, 0.0, 1.0)).toDF("a", "b", "c", "y"))
+    assert(m.transform(withNull, "pred").filter(col("a").isNull).select("pred").head().isNullAt(0))
+    assert(m.mae(withNull, "y") == m.mae(df, "y"))
+  }
+
   test("collinear features are handled via ridge (airlines scenario)") {
     // b == 2a exactly: the normal equations are singular without ridge.
     val rnd = new scala.util.Random(3)

@@ -46,6 +46,28 @@ class LogisticRegressionSpec extends SparkSpec {
     assert(out.filter(col("p") === col("label")).count() >= 58)
   }
 
+  test("transform picks predict's label on clean rows and a null label for a null feature") {
+    val df = blobs(80, Seq(("a", 0.0, 0.0), ("b", 3.0, 0.0), ("c", 1.5, 2.5)), 1.0, 8)
+    val m = LogisticRegression.fit(df, Seq("x", "y"), "label", iters = 60)
+    m.transform(df, "p").collect().foreach { r =>
+      assert(r.getString(3) == m.predict(Array(r.getDouble(1), r.getDouble(2))))
+    }
+    val withNull = df.union(Seq(("a", Option.empty[Double], 0.0)).toDF("label", "x", "y"))
+    assert(m.transform(withNull, "p").filter(col("x").isNull).select("p").head().isNullAt(0))
+    // The row with no prediction counts as a miss.
+    val hits = m.accuracy(df, "label") * 240
+    assert(math.abs(m.accuracy(withNull, "label") - hits / 241) < 1e-12)
+  }
+
+  test("fit drops a row with a null feature before training") {
+    val df = blobs(60, Seq(("a", 0.0, 0.0), ("b", 4.0, 4.0)), 1.0, 9)
+    val withNull = df.union(Seq(("b", Option.empty[Double], 9.0)).toDF("label", "x", "y"))
+    val clean = LogisticRegression.fit(df, Seq("x", "y"), "label", iters = 40)
+    val dirty = LogisticRegression.fit(withNull, Seq("x", "y"), "label", iters = 40)
+    assert(java.util.Arrays.equals(dirty.z.means, clean.z.means) && java.util.Arrays.equals(dirty.z.stds, clean.z.stds))
+    clean.weights.indices.foreach(k => assert(java.util.Arrays.equals(dirty.weights(k), clean.weights(k)), s"class $k"))
+  }
+
   test("accuracy on garbage data is near chance, not near one") {
     // Features carry no signal: accuracy ≈ 1/2 for two balanced classes.
     val rnd = new scala.util.Random(6)
