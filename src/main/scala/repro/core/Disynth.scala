@@ -54,11 +54,17 @@ object Disynth {
       cfg: Config = Config(),
   ): ConformanceModel = {
     require(numericCols.nonEmpty, "Disynth.fit: no numeric columns")
-    val scan = Moments.scan(df, numericCols, partitionCols, cfg.maxDistinct)
+    synthesize(Moments.scan(df, numericCols, partitionCols, cfg.maxDistinct), cfg)
+  }
+
+  /** [[fit]]'s driver-side half: the model of a scan's global moments and of
+    * each grouping column it kept, a branch per value of ≥ `MinPartRows` rows.
+    */
+  def synthesize(scan: Moments.Scan, cfg: Config = Config()): ConformanceModel = {
     val global = PcaSynth.simpleInvariant(scan.global, cfg.pca)
     // Each branch is a pure function of its moments, so synthesizing them
     // in parallel gives the same model on any number of threads.
-    val parts = partitionCols.zip(scan.groups).collect { case (attr, Some(grouped)) => attr -> grouped }
+    val parts = scan.groupCols.zip(scan.groups).collect { case (attr, Some(grouped)) => attr -> grouped }
     val fitted = parts.flatMap { case (attr, grouped) =>
       grouped.collect { case (v, mom) if mom.n >= MinPartRows => (attr, v, mom) }
     }.par.map { case (attr, v, mom) => (attr, v) -> PcaSynth.simpleInvariant(mom, cfg.pca) }.seq.toMap
@@ -66,7 +72,7 @@ object Disynth {
       val cases = grouped.flatMap { case (v, _) => fitted.get((attr, v)).map(v -> _) }
       if (cases.isEmpty) None else Some(DisjunctiveInvariant(attr, cases))
     }
-    ConformanceModel(numericCols, global, disjunctive)
+    ConformanceModel(scan.global.cols, global, disjunctive)
   }
 
   /** Fit with schema-driven attribute roles: numeric-typed columns become

@@ -71,21 +71,16 @@ object Airlines {
   /** Overnight flights: arrival clock-time before departure. */
   def overnight(df: DataFrame): DataFrame = df.filter(col("overnight"))
 
-  /** Mixed split with the given overnight fraction (paper's Mixed is about
-    * one-third overnight, judging by its averages).
+  /** Mixed split: `day` and `over` sampled to `dayPerOvernight` daytime rows
+    * per overnight row, keeping all of the scarcer side (the paper's Mixed
+    * is about one-third overnight, ratio 2, judging by its averages).
     */
-  def mixed(df: DataFrame, overnightFraction: Double = 1.0 / 3, seed: Long = 17): DataFrame = {
-    // Overnight flights are ~1/3 of uniform generation already; subsample
-    // each side to hit the requested fraction while keeping rows plentiful.
-    val on = overnight(df)
-    val day = daytime(df)
-    val nOn = on.count().toDouble
+  def mixed(day: DataFrame, over: DataFrame, dayPerOvernight: Double, seed: Long): DataFrame = {
     val nDay = day.count().toDouble
-    // Choose sampling rates so on/(on+day) == overnightFraction.
-    val targetDayPerOn = (1 - overnightFraction) / overnightFraction
-    val dayRate = math.min(1.0, nOn * targetDayPerOn / nDay)
-    val onRate = math.min(1.0, nDay / targetDayPerOn / nOn)
-    on.sample(withReplacement = false, onRate, seed)
+    val nOver = over.count().toDouble
+    val dayRate = math.min(1.0, nOver * dayPerOvernight / nDay)
+    val overRate = math.min(1.0, nDay / dayPerOvernight / nOver)
+    over.sample(withReplacement = false, overRate, seed)
       .unionAll(day.sample(withReplacement = false, dayRate, seed + 1))
   }
 }

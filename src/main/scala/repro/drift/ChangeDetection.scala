@@ -66,7 +66,7 @@ object ChangeDetection {
     }
   }
 
-  /** Fit on the reference window.
+  /** Fit on the reference window `df` and the moments of its attributes.
     *
     * @param varianceFraction retain top components until cumulative explained
     *                         variance reaches this fraction (CD keeps the
@@ -75,11 +75,11 @@ object ChangeDetection {
     */
   def fit(
       df: DataFrame,
-      numericCols: Seq[String],
+      mom: Moments,
       varianceFraction: Double = 0.99,
       bins: Int = 30,
   ): Model = {
-    val mom = Moments.of(df, numericCols)
+    val numericCols = mom.cols
     val m = numericCols.length
     val z = mom.standardizer
     val eig = Eigen.symmetric(mom.correlation)

@@ -46,15 +46,15 @@ object PcaSpll {
     }
   }
 
-  /** Fit on a reference window.
+  /** Fit on a reference window's moments, on the driver.
     *
+    * @param mom              moments of the reference window's attributes
     * @param varianceFraction retain components from the lowest variance up,
     *                         while their cumulative explained variance stays
     *                         below this fraction (paper's experiments: 25%)
     */
-  def fit(df: DataFrame, numericCols: Seq[String], varianceFraction: Double = 0.25): Model = {
-    val mom = Moments.of(df, numericCols)
-    val m = numericCols.length
+  def fit(mom: Moments, varianceFraction: Double = 0.25): Model = {
+    val m = mom.cols.length
     // PCA of the standardized attributes: eigenvectors of the correlation matrix.
     val eig = Eigen.symmetric(mom.correlation)
     val total = eig.values.map(math.max(_, 0.0)).sum.max(1e-12)
@@ -63,7 +63,7 @@ object PcaSpll {
     val cum = (0 until m).map(k => math.max(eig.values(k), 0.0) / total).scanLeft(0.0)(_ + _).tail
     val idx = (0 until m).takeWhile(k => cum(k) < varianceFraction || k == 0)
     Model(
-      numericCols,
+      mom.cols,
       mom.standardizer,
       idx.map(eig.vector).toArray,
       idx.map(i => math.max(eig.values(i), 1e-6)).toArray,

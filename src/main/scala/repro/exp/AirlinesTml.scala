@@ -32,7 +32,7 @@ object AirlinesTml {
       val day = Airlines.daytime(flights)
       val Array(train, dayHold) = day.randomSplit(Array(0.8, 0.2), seed)
       val over = Airlines.overnight(flights)
-      val mixed = mixThird(dayHold, over, seed)
+      val mixed = Airlines.mixed(dayHold, over, 2.0, seed + 100)
 
       val model = Disynth.fit(train, Airlines.FeatureCols, Seq("carrier"))
       val reg = LinearRegression.fit(train, Airlines.FeatureCols, Airlines.TargetCol)
@@ -61,16 +61,5 @@ object AirlinesTml {
 
       Result(rows, pcc)
     } finally flights.unpersist()
-  }
-
-  /** Mixed split: ~1/3 overnight, 2/3 held-out daytime. */
-  private def mixThird(day: DataFrame, over: DataFrame, seed: Long): DataFrame = {
-    val nDay = day.count().toDouble
-    val nOver = over.count().toDouble
-    // overnight : daytime = 1 : 2
-    val dayRate = math.min(1.0, 2.0 * nOver / nDay)
-    val overRate = math.min(1.0, nDay / 2.0 / nOver)
-    over.sample(withReplacement = false, overRate, seed + 100)
-      .unionAll(day.sample(withReplacement = false, dayRate, seed + 101))
   }
 }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions.{avg, lit}
 import repro.core.{Disynth, ViolationExpr}
 import repro.data.Evl
 import repro.drift.{ChangeDetection, PcaSpll}
-import repro.stats.Stats
+import repro.stats.{Moments, Stats}
 
 /** Fig. 8: drift quantification on the EVL benchmark — DISYNTH vs PCA-SPLL,
   * CD-MKL, and CD-Area, scored against the analytic ground-truth drift.
@@ -24,8 +24,8 @@ object EvlDrift {
       corr: Map[String, Double],
   )
 
-  /** Fits every method on window 1 of each stream, then scores all windows
-    * in one job grouped by window; both CD metrics share its bin counts.
+  /** Fits every method on one moments scan of each stream's window 1, then
+    * scores all windows in one job grouped by window; CD's metrics share it.
     */
   def run(
       spark: SparkSession,
@@ -35,10 +35,10 @@ object EvlDrift {
       seed: Long = 23,
   ): Seq[DatasetResult] = datasets.map { name =>
     val w1 = Evl.window(spark, name, 1, nWindows, pointsPerClass, seed)
-    val xy = Seq("x", "y")
-    val dis = Disynth.fit(w1, xy, Seq("cls"))
-    val spll = PcaSpll.fit(w1, xy)
-    val cd = ChangeDetection.fit(w1, xy)
+    val scan = Moments.scan(w1, Seq("x", "y"), Seq("cls"), Disynth.Config().maxDistinct)
+    val dis = Disynth.synthesize(scan)
+    val spll = PcaSpll.fit(scan.global)
+    val cd = ChangeDetection.fit(w1, scan.global)
 
     val windows = (1 to nWindows)
       .map(w => Evl.window(spark, name, w, nWindows, pointsPerClass, seed + 7777).withColumn("window", lit(w)))

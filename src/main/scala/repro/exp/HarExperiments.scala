@@ -6,7 +6,7 @@ import repro.core.{ConformanceModel, Disynth, ViolationExpr}
 import repro.data.Har
 import repro.linalg.Mat
 import repro.ml.LogisticRegression
-import repro.stats.Stats
+import repro.stats.{Moments, Stats}
 
 /** The three HAR experiments: the mixture curve of Fig. 5(a), the gradual-
   * drift comparison of Fig. 5(b), and the inter-person / inter-activity
@@ -79,17 +79,16 @@ object HarExperiments {
       spark: SparkSession,
       rowsPerPersonActivity: Int = 120,
       seed: Long = 7,
-  ): Seq[DriftPoint] = {
-    withCached(Har.data(spark, rowsPerPersonActivity, seed)) { all =>
-      val initial = Har.Persons.indices
-        .map(i => col("person") === Har.Persons(i) && col("activity") === activityAt(i, 0))
-        .reduce(_ || _)
-      val initialTrain = Har.trainHalf(all.filter(initial))
-      val disModel = Disynth.fit(initialTrain, Har.FeatureCols, Seq("person"))
-      // W-PCA is DISYNTH without disjunction: one global simple invariant.
-      val wpcaModel = Disynth.fit(initialTrain, Har.FeatureCols)
-      driftCurve(Har.holdHalf(all), disModel, wpcaModel)
-    }
+  ): Seq[DriftPoint] = withCached(Har.data(spark, rowsPerPersonActivity, seed))(gradualDriftOf)
+
+  /** Fig. 5(b) on the HAR rows `all`: one fit scan, then one grouped score. */
+  private[exp] def gradualDriftOf(all: DataFrame): Seq[DriftPoint] = {
+    val initial = Har.Persons.indices
+      .map(i => col("person") === Har.Persons(i) && col("activity") === activityAt(i, 0))
+      .reduce(_ || _)
+    val disModel = Disynth.fit(Har.trainHalf(all.filter(initial)), Har.FeatureCols, Seq("person"))
+    // W-PCA: DISYNTH without disjunction, the global invariant of one scan.
+    driftCurve(Har.holdHalf(all), disModel, disModel.copy(disjunctive = Nil))
   }
 
   /** The Fig. 5(b) points from one grouped score of the held-out rows: the
@@ -144,21 +143,35 @@ object HarExperiments {
     }
   }
 
-  /** The Figs. 6/7 loop: for each value of `rowCol`, fit invariants
-    * (disjunctive over `partCol`) on the train half of its rows; then score
-    * the held-out half of `all` under every model in one job, averaging
-    * each model's violation per `rowCol` value. Cell (i, j) is the
-    * violation of `labels(j)`'s data against `labels(i)`'s invariants.
+  /** The Figs. 6/7 loop: [[heatmapModels]] of the train half of `all`, then
+    * the held-out half scored under every model in one job grouped by
+    * `rowCol`. Cell (i, j) is the violation of `labels(j)`'s data against
+    * `labels(i)`'s invariants.
     */
-  private def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
-    val models = labels.map(l => Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol)))
-    val avgs = models.map(model => avg(ViolationExpr.column(model)))
+  private[exp] def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
+    val avgs = heatmapModels(Har.trainHalf(all), labels, rowCol, partCol).map(m => avg(ViolationExpr.column(m)))
     val byLabel = Har.holdHalf(all).groupBy(col(rowCol)).agg(avgs.head, avgs.tail: _*)
-      .collect()
-      .map(r => r.getString(0) -> r)
-      .toMap
-    val m = Mat.zeros(labels.length, labels.length)
-    for (i <- labels.indices; j <- labels.indices) m(i, j) = byLabel(labels(j)).getDouble(1 + i)
-    m
+      .collect().map(r => r.getString(0) -> r).toMap
+    val n = labels.length
+    Mat(n, n, Array.tabulate(n * n)(k => byLabel(labels(k % n)).getDouble(1 + k / n)))
+  }
+
+  /** Each label's invariants (disjunctive over `partCol`) on its rows of
+    * `train`, from one scan grouped by `rowCol` and by the NUL-separated
+    * (label, partition value) pair: bit for bit `fit` of the label's rows,
+    * since a group sums the same rows in the same order. A label's slice of
+    * pairs over `maxDistinct` is dropped as `fit` drops an attribute; unlike
+    * `fit`, it does not count values seen only on rows with a non-finite
+    * feature, which HAR never has.
+    */
+  private[exp] def heatmapModels(train: DataFrame, labels: Seq[String], rowCol: String, partCol: String)
+      : Seq[ConformanceModel] = {
+    val cfg = Disynth.Config()
+    val paired = train.withColumn("__pair", concat(col(rowCol), lit("\u0000"), col(partCol)))
+    val Seq(byLabel, byPair) = Moments.scan(paired, Har.FeatureCols, Seq(rowCol, "__pair")).groups.map(_.get)
+    labels.map { l =>
+      val slice = byPair.collect { case (k, mom) if k.startsWith(l + "\u0000") => k.drop(l.length + 1) -> mom }
+      Disynth.synthesize(Moments.Scan(byLabel(l), Seq(partCol), Seq(Some(slice).filter(_.size <= cfg.maxDistinct))), cfg)
+    }
   }
 }

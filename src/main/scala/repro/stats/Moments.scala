@@ -17,7 +17,7 @@ import repro.linalg.Mat
   * the per-partition arrays (see [[Moments.scan]]). Everything downstream
   * (PCA invariants, OLS, per-projection μ/σ) is derived from this one pass.
   *
-  * @param n    row count (rows with a null/NaN in any requested column dropped)
+  * @param n    row count (rows with a null, NaN or infinite value in a requested column dropped)
   * @param cols column names in order
   * @param sums Σ xᵢ per column
   * @param gram Σ xᵢ·xⱼ, an m×m symmetric matrix
@@ -110,27 +110,23 @@ object Moments {
 
   /** One moments pass over a DataFrame.
     *
-    * @param global moments of every row without a null/NaN numeric value
-    * @param groups per grouping column: the moments of each of its values
-    *               that has such rows, or None when the column has more than
-    *               `maxDistinct` distinct non-null values
+    * @param global    moments of every row whose numeric values are all finite
+    * @param groupCols the grouping columns, in the order of `groups`
+    * @param groups    per grouping column: the moments of each of its values
+    *                  that has such rows, or None when the column has more
+    *                  than `maxDistinct` distinct non-null values
     */
-  final case class Scan(global: Moments, groups: Seq[Option[Map[String, Moments]]])
+  final case class Scan(global: Moments, groupCols: Seq[String], groups: Seq[Option[Map[String, Moments]]])
 
   /** Compute [[Moments]] over `columns` of `df` in one scan.
     *
-    * Rows containing a null/NaN in any of the columns are excluded — the
-    * paper assumes fully-numeric tuples, and a NaN would poison every sum.
+    * Rows with a null, NaN or infinite value in any of the columns are
+    * excluded — the paper assumes finite numeric tuples; others poison sums.
     */
   def of(df: DataFrame, columns: Seq[String]): Moments = scan(df, columns).global
 
-  /** Compute per-group [[Moments]] over `columns`, grouped by the (string-
-    * rendered) values of `groupCol`, in a single scan.
-    *
-    * This powers disjunctive-invariant synthesis: one job yields the moments
-    * of *every* partition `D_l = σ_{A=v_l}(D)` at once, instead of one scan
-    * per distinct value. Rows where `groupCol` is null are excluded (they
-    * match no `(A = c)▷φ` branch anyway).
+  /** The [[Moments]] of each value of `groupCol` (rows where it is null
+    * excluded), from one [[scan]].
     */
   def byGroup(df: DataFrame, columns: Seq[String], groupCol: String): Map[String, Moments] =
     scan(df, columns, Seq(groupCol)).groups.head.get
@@ -143,11 +139,12 @@ object Moments {
     * column's map holds at most `maxDistinct` values; at the next new value
     * the column is marked over and its map dropped. The partials are
     * collected and merged on the driver in partition order, so the same
-    * input under the same partitioning always gives bit-identical moments.
+    * input under the same partitioning always gives bit-identical moments,
+    * and the global moments do not depend on which `groupCols` ride along.
     *
-    * A row with a null/NaN numeric value is left out of every sum, but its
-    * group keys still count towards `maxDistinct`; a row with a null group
-    * key counts in the global moments and in no group.
+    * A row with a null, NaN or infinite numeric value is left out of every
+    * sum, but its group keys still count towards `maxDistinct`; a row with a
+    * null group key counts in the global moments and in no group.
     */
   def scan(
       df: DataFrame,
@@ -174,7 +171,7 @@ object Moments {
           var i = 0
           while (clean && i < m) {
             if (row.isNullAt(g + i)) clean = false
-            else { x(i) = row.getDouble(g + i); clean = !x(i).isNaN }
+            else { x(i) = row.getDouble(g + i); clean = java.lang.Double.isFinite(x(i)) }
             i += 1
           }
           if (clean) Packed.add(global, x)
@@ -213,7 +210,7 @@ object Moments {
       if (over(a) || merged(a).size > maxDistinct) None
       else Some(merged(a).collect { case (k, acc) if acc(0) > 0 => k -> Packed.toMoments(acc, columns) }.toMap)
     }
-    Scan(Packed.toMoments(global, columns), groups)
+    Scan(Packed.toMoments(global, columns), groupCols, groups)
   }
 
   /** Packed moments accumulator: one `Array[Double]` laid out as

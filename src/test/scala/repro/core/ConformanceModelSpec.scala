@@ -3,7 +3,10 @@ package repro.core
 import scala.util.Random
 import repro.SparkSpec
 
-class CompiledModelSpec extends SparkSpec {
+/** [[ConformanceModel]]'s own evaluation against the conjunct-by-conjunct
+  * [[Reference]].
+  */
+class ConformanceModelSpec extends SparkSpec {
 
   import spark.implicits._
 
@@ -20,7 +23,7 @@ class CompiledModelSpec extends SparkSpec {
       }
     }.toMap
 
-  test("compiled violation equals the case-class path bit for bit on random models") {
+  test("violation equals the conjunct-by-conjunct reference bit for bit on random models") {
     var floored, empty, nan, inf, conforming, partial = 0
     (1 to 80).foreach { seed =>
       val rnd = new Random(seed)
@@ -55,7 +58,7 @@ class CompiledModelSpec extends SparkSpec {
       s"coverage: floored $floored empty $empty nan $nan inf $inf conforming $conforming partial $partial")
   }
 
-  test("intervention means on the compiled model follow the first defined branch") {
+  test("intervention means follow the first defined branch, as in the reference") {
     (1 to 20).foreach { seed =>
       val rnd = new Random(seed)
       val (model, _) = RandomModels.model(rnd, 3, Seq("g" -> Seq("a", "b"), "h" -> Seq("p")))
@@ -66,7 +69,7 @@ class CompiledModelSpec extends SparkSpec {
     }
   }
 
-  test("the compiled model serializes without the case-class tree") {
+  test("the model serializes without its conjunct records") {
     val (model, _) = RandomModels.model(new Random(1), 3, Seq("g" -> Seq("a", "b")))
     // Reading the conjunct records on the driver must not attach them to
     // the model that ships.

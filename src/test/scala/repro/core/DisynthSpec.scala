@@ -246,17 +246,6 @@ class DisynthSpec extends SparkSpec with JobCounts {
     assertSameModel(once, twice, 1e-6)
   }
 
-  /** Same conjuncts, means and row count, bit for bit. */
-  private def assertSameBits(x: FittedSimple, y: FittedSimple): Unit = {
-    def same(p: Array[Double], q: Array[Double]) = p.length == q.length && p.indices.forall(i => Reference.sameBits(p(i), q(i)))
-    assert(x.n == y.n && same(x.means, y.means))
-    assert(x.inv.conjuncts.length == y.inv.conjuncts.length)
-    x.inv.conjuncts.zip(y.inv.conjuncts).foreach { case (p, q) =>
-      assert(same(p.weights, q.weights))
-      assert(same(Array(p.lb, p.ub, p.alpha, p.gamma, p.mean, p.std), Array(q.lb, q.ub, q.alpha, q.gamma, q.mean, q.std)))
-    }
-  }
-
   test("a 50-group fit synthesizes every branch as PcaSynth does on Moments.byGroup, bit for bit") {
     val rnd = new scala.util.Random(17)
     val df = (1 to 3000).map { i =>
@@ -269,8 +258,22 @@ class DisynthSpec extends SparkSpec with JobCounts {
     assert(groups.size == 50)
     val cases = model.disjunctive.head.cases
     assert(cases.keySet == groups.keySet)
-    groups.foreach { case (v, mom) => assertSameBits(cases(v), PcaSynth.simpleInvariant(mom)) }
-    assertSameBits(model.global, PcaSynth.simpleInvariant(Moments.of(df, cols)))
+    groups.foreach { case (v, mom) => assert(Reference.sameFit(cases(v), PcaSynth.simpleInvariant(mom)), v) }
+    assert(Reference.sameFit(model.global, PcaSynth.simpleInvariant(Moments.of(df, cols))))
+  }
+
+  test("rows with an infinite value drop out of the fit like NaN rows") {
+    val df = spark.sparkContext.parallelize(pieceRows(600), 4).toDF("g", "a", "b", "c")
+    // Appended after the clean rows, which keep their partitions, so every
+    // sum meets the clean rows in the same order.
+    val inf = df.union(Seq(("g0", Double.PositiveInfinity, 1.0, 2.0), ("g1", 1.0, 2.0, Double.NegativeInfinity))
+      .toDF("g", "a", "b", "c"))
+    val cols = Seq("a", "b", "c")
+    assert(Moments.of(inf, cols).n == 600)
+    val (clean, dirty) = (Disynth.fit(df, cols, Seq("g")), Disynth.fit(inf, cols, Seq("g")))
+    assert(dirty.global.n == 600 && dirty.disjunctive.head.cases.size == 3)
+    assert(Reference.sameModel(clean, dirty))
+    assert(Reference.sameModel(Disynth.fit(df, cols), Disynth.fit(inf, cols)))
   }
 
   test("score followed by one aggregate runs two jobs of one stage each on a cached frame") {

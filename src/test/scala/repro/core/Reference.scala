@@ -50,4 +50,22 @@ object Reference {
   /** Bit-level equality (NaN equals NaN, 0.0 differs from −0.0). */
   def sameBits(a: Double, b: Double): Boolean =
     java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
+
+  private def sameBits(p: Array[Double], q: Array[Double]): Boolean =
+    p.length == q.length && p.indices.forall(i => sameBits(p(i), q(i)))
+
+  /** Same conjuncts, means and row count, bit for bit. */
+  def sameFit(x: FittedSimple, y: FittedSimple): Boolean =
+    x.n == y.n && sameBits(x.means, y.means) && x.inv.conjuncts.length == y.inv.conjuncts.length &&
+      x.inv.conjuncts.zip(y.inv.conjuncts).forall { case (p, q) =>
+        sameBits(p.weights, q.weights) &&
+          sameBits(Array(p.lb, p.ub, p.alpha, p.gamma, p.mean, p.std), Array(q.lb, q.ub, q.alpha, q.gamma, q.mean, q.std))
+      }
+
+  /** Same attributes, global fit and branches, bit for bit. */
+  def sameModel(x: ConformanceModel, y: ConformanceModel): Boolean =
+    x.numericCols == y.numericCols && sameFit(x.global, y.global) && x.partitionAttrs == y.partitionAttrs &&
+      x.disjunctive.zip(y.disjunctive).forall { case (dx, dy) =>
+        dx.cases.keySet == dy.cases.keySet && dx.cases.keys.forall(k => sameFit(dx.cases(k), dy.cases(k)))
+      }
 }

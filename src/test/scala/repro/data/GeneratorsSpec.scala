@@ -59,7 +59,7 @@ class GeneratorsSpec extends SparkSpec {
 
   test("airlines: mixed split hits the requested overnight fraction") {
     val df = Airlines.flights(spark, 20000).cache()
-    val mixed = Airlines.mixed(df, overnightFraction = 1.0 / 3).cache()
+    val mixed = Airlines.mixed(Airlines.daytime(df), Airlines.overnight(df), 2.0, 17).cache()
     val frac = mixed.filter(col("overnight")).count().toDouble / mixed.count()
     assert(frac > 0.25 && frac < 0.42, s"mixed overnight fraction $frac")
     mixed.unpersist(); df.unpersist()

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.core.Disynth
 import repro.linalg.Mat
+import repro.stats.Moments
 
 class DriftBaselinesSpec extends SparkSpec {
 
@@ -30,7 +31,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("PCA-SPLL: identical distribution yields a small, stable statistic") {
     val ref = gauss(2000, 0, 0, 1, 1)
-    val model = PcaSpll.fit(ref, Seq("x", "y"))
+    val model = PcaSpll.fit(Moments.of(ref, Seq("x", "y")))
     val same = PcaSpll.drift(gauss(2000, 0, 0, 1, 2), model)
     // Mean Mahalanobis² per retained component ≈ 1.
     assert(same < 3.0)
@@ -38,7 +39,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("PCA-SPLL: a mean shift raises the statistic sharply") {
     val ref = gauss(2000, 0, 0, 1, 3)
-    val model = PcaSpll.fit(ref, Seq("x", "y"))
+    val model = PcaSpll.fit(Moments.of(ref, Seq("x", "y")))
     val base = PcaSpll.drift(gauss(1000, 0, 0, 1, 4), model)
     val shifted = PcaSpll.drift(gauss(1000, 6, 0, 1, 5), model)
     assert(shifted > 5 * base, s"base=$base shifted=$shifted")
@@ -46,7 +47,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("PCA-SPLL: drift grows monotonically with displacement") {
     val ref = gauss(2000, 0, 0, 1, 6)
-    val model = PcaSpll.fit(ref, Seq("x", "y"))
+    val model = PcaSpll.fit(Moments.of(ref, Seq("x", "y")))
     val scores = Seq(0.0, 2.0, 4.0, 8.0).map(d => PcaSpll.drift(gauss(800, d, d, 1, 7), model))
     assert(scores.zip(scores.tail).forall { case (a, b) => a < b })
   }
@@ -55,7 +56,7 @@ class DriftBaselinesSpec extends SparkSpec {
     val rnd = new scala.util.Random(8)
     // x wide, y narrow: the retained component must be y-dominated.
     val ref = (1 to 2000).map(_ => (rnd.nextGaussian() * 10, rnd.nextGaussian() * 0.5)).toDF("x", "y")
-    val model = PcaSpll.fit(ref, Seq("x", "y"), varianceFraction = 0.25)
+    val model = PcaSpll.fit(Moments.of(ref, Seq("x", "y")), varianceFraction = 0.25)
     assert(model.components.nonEmpty)
     // After standardization both axes have unit variance; with a fraction of
     // 25% only the single lowest-variance component is retained.
@@ -63,7 +64,7 @@ class DriftBaselinesSpec extends SparkSpec {
   }
 
   test("PCA-SPLL is blind to local drift in a stable global mixture (paper's failure mode)") {
-    val model = PcaSpll.fit(twoClusterRotation(3000, 0.0, 9), Seq("x", "y"))
+    val model = PcaSpll.fit(Moments.of(twoClusterRotation(3000, 0.0, 9), Seq("x", "y")))
     val base = PcaSpll.drift(twoClusterRotation(1500, 0.0, 10), model)
     // Rotating by π maps the mixture onto itself: no global change visible.
     val rotated = PcaSpll.drift(twoClusterRotation(1500, math.Pi, 11), model)
@@ -74,7 +75,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("CD: identical distribution yields near-zero divergence") {
     val ref = gauss(3000, 0, 0, 1, 12)
-    val model = ChangeDetection.fit(ref, Seq("x", "y"))
+    val model = ChangeDetection.fit(ref, Moments.of(ref, Seq("x", "y")))
     val mkl = ChangeDetection.drift(gauss(3000, 0, 0, 1, 13), model, ChangeDetection.MKL)
     val area = ChangeDetection.drift(gauss(3000, 0, 0, 1, 14), model, ChangeDetection.Area)
     assert(mkl < 0.5, s"mkl=$mkl")
@@ -83,7 +84,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("CD: a mean shift is detected by both metrics") {
     val ref = gauss(3000, 0, 0, 1, 15)
-    val model = ChangeDetection.fit(ref, Seq("x", "y"))
+    val model = ChangeDetection.fit(ref, Moments.of(ref, Seq("x", "y")))
     val mkl = ChangeDetection.drift(gauss(3000, 5, 0, 1, 16), model, ChangeDetection.MKL)
     val area = ChangeDetection.drift(gauss(3000, 5, 0, 1, 17), model, ChangeDetection.Area)
     assert(mkl > 2.0, s"mkl=$mkl")
@@ -92,7 +93,7 @@ class DriftBaselinesSpec extends SparkSpec {
 
   test("CD-Area saturates once windows stop overlapping (cannot quantify)") {
     val ref = gauss(2000, 0, 0, 1, 18)
-    val model = ChangeDetection.fit(ref, Seq("x", "y"))
+    val model = ChangeDetection.fit(ref, Moments.of(ref, Seq("x", "y")))
     val far = ChangeDetection.drift(gauss(2000, 8, 0, 1, 19), model, ChangeDetection.Area)
     val farther = ChangeDetection.drift(gauss(2000, 16, 0, 1, 20), model, ChangeDetection.Area)
     // Both are ≈ 1: Area cannot distinguish 8σ from 16σ displacement.
@@ -101,7 +102,8 @@ class DriftBaselinesSpec extends SparkSpec {
   }
 
   test("CD histograms are insensitive to class-label-only (local) drift") {
-    val model = ChangeDetection.fit(twoClusterRotation(3000, 0.0, 21), Seq("x", "y"))
+    val ref = twoClusterRotation(3000, 0.0, 21)
+    val model = ChangeDetection.fit(ref, Moments.of(ref, Seq("x", "y")))
     val rotated = ChangeDetection.drift(twoClusterRotation(3000, math.Pi, 22), model, ChangeDetection.Area)
     assert(rotated < 0.2, s"rotated=$rotated")
   }
@@ -128,7 +130,7 @@ class DriftBaselinesSpec extends SparkSpec {
     df.union(Seq[(Option[Double], Double, Double)]((None, 1.0, 0.0), (Some(Double.NaN), 2.0, 0.0)).toDF("x", "y", "v"))
 
   test("PCA-SPLL columns equal a plain-Scala reference bit for bit") {
-    val model = PcaSpll.fit(skewed, xyv, varianceFraction = 1.5)
+    val model = PcaSpll.fit(Moments.of(skewed, xyv), varianceFraction = 1.5)
     assert(model.components.length == 3)
     val zs = model.z.columns(model.cols)
     val ps = model.components.toSeq.map(Mat.dot(_, zs))
@@ -144,7 +146,7 @@ class DriftBaselinesSpec extends SparkSpec {
   }
 
   test("CD bin counts equal a plain-Scala reference bit for bit") {
-    val model = ChangeDetection.fit(skewed, xyv)
+    val model = ChangeDetection.fit(skewed, Moments.of(skewed, xyv))
     // Far enough that some rows fall off the histogram range.
     val shifted = skewed.select((col("x") + 300).as("x"), col("y"), col("v"))
     val counts = model.withScores(shifted).agg(model.binCounts.head, model.binCounts.tail: _*).head()
@@ -167,8 +169,8 @@ class DriftBaselinesSpec extends SparkSpec {
   }
 
   test("a null row and a NaN row leave PCA-SPLL and CD drift bit-identical") {
-    val spll = PcaSpll.fit(skewed, xyv)
-    val cd = ChangeDetection.fit(skewed, xyv)
+    val spll = PcaSpll.fit(Moments.of(skewed, xyv))
+    val cd = ChangeDetection.fit(skewed, Moments.of(skewed, xyv))
     val window = skewed.select((col("x") + 20).as("x"), col("y"), col("v"))
     val dirty = withDirtyRows(window)
     assert(dirty.count() == window.count() + 2)

@@ -66,10 +66,10 @@ class EvlDriftSpec extends SparkSpec with JobCounts {
     val counts = jobsAndStages {
       rerun = EvlDrift.run(spark, datasets = Seq("1CDT"), nWindows = 8, pointsPerClass = 200)
     }
-    // DISYNTH, PCA-SPLL and CD's moments each take one scan; CD's score
-    // range and reference histogram take one aggregate each; all windows
-    // score in one grouped aggregate. Each is one job of one stage.
-    assert(counts == (6, 6))
+    // DISYNTH, PCA-SPLL and CD share one moments scan; CD's score range and
+    // reference histogram take one aggregate each; all windows score in one
+    // grouped aggregate. Each is one job of one stage.
+    assert(counts == (4, 4))
     assert(rerun.head == byName("1CDT"))
   }
 }

@@ -1,8 +1,11 @@
 package repro.exp
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.{JobCounts, SparkSpec}
-import repro.core.Disynth
+import repro.core.{Disynth, Reference}
 import repro.data.Har
+import repro.linalg.Mat
 
 /** Small-scale integration runs of the Figure 5/6/7 experiments. */
 class HarExperimentsSpec extends SparkSpec with JobCounts {
@@ -33,17 +36,60 @@ class HarExperimentsSpec extends SparkSpec with JobCounts {
     assert(dis.last > 4 * wp.last + 0.1, s"DISYNTH ${dis.last} vs W-PCA ${wp.last}")
   }
 
-  test("gradualDrift (Fig 5b) scores every K in one grouped job") {
-    // A fixed partition count, so the job count is the same at any local[N].
+  /** HAR rows on a fixed partition count, so job counts and sums are the
+    * same at any local[N]; cached and materialized.
+    */
+  private def withFixedHar[T](body: DataFrame => T): T = {
     val all = Har.data(spark, rowsPerPersonActivity = 20).repartition(4).cache()
-    try {
+    try { all.count(); body(all) } finally all.unpersist()
+  }
+
+  test("gradualDrift (Fig 5b) scores every K in one grouped job") {
+    withFixedHar { all =>
       val dis = Disynth.fit(Har.trainHalf(all), Har.FeatureCols, Seq("person"))
-      val wpca = Disynth.fit(Har.trainHalf(all), Har.FeatureCols)
       var pts: Seq[HarExperiments.DriftPoint] = Nil
       // One grouped aggregate: a map-stage job and a result job.
-      assert(jobsAndStages { pts = HarExperiments.driftCurve(Har.holdHalf(all), dis, wpca) } == (2, 2))
+      assert(jobsAndStages { pts = HarExperiments.driftCurve(Har.holdHalf(all), dis, dis.copy(disjunctive = Nil)) } == (2, 2))
       assert(pts.map(_.k) == (0 to Har.Persons.length))
-    } finally all.unpersist()
+    }
+  }
+
+  test("gradualDrift (Fig 5b): W-PCA is the global invariant of the DISYNTH fit, bit for bit") {
+    withFixedHar { all =>
+      val train = Har.trainHalf(all)
+      val wpca = Disynth.fit(train, Har.FeatureCols, Seq("person")).copy(disjunctive = Nil)
+      assert(Reference.sameModel(wpca, Disynth.fit(train, Har.FeatureCols)))
+    }
+  }
+
+  test("gradualDrift (Fig 5b) runs one fit scan and one grouped score") {
+    withFixedHar { all =>
+      var pts: Seq[HarExperiments.DriftPoint] = Nil
+      assert(jobsAndStages { pts = HarExperiments.gradualDriftOf(all) } == (3, 3))
+      assert(pts.map(_.k) == (0 to Har.Persons.length))
+    }
+  }
+
+  test("every heat-map model equals the per-label fit bit for bit") {
+    withFixedHar { all =>
+      for ((labels, rowCol, partCol) <- Seq((Har.Persons, "person", "activity"), (Har.Activities, "activity", "person"))) {
+        val models = HarExperiments.heatmapModels(Har.trainHalf(all), labels, rowCol, partCol)
+        labels.zip(models).foreach { case (l, model) =>
+          // The reference: one fit per label, as the heat maps ran before.
+          val perLabel = Disynth.fit(Har.trainHalf(all.filter(col(rowCol) === l)), Har.FeatureCols, Seq(partCol))
+          assert(model.partitionAttrs == Seq(partCol))
+          assert(Reference.sameModel(model, perLabel), s"$rowCol $l")
+        }
+      }
+    }
+  }
+
+  test("a heat map runs one fit scan and one grouped score") {
+    withFixedHar { all =>
+      var m: Mat = null
+      assert(jobsAndStages { m = HarExperiments.heatmap(all, Har.Persons, "person", "activity") } == (3, 3))
+      assert(m.rows == Har.Persons.length)
+    }
   }
 
   test("interPerson (Fig 6): self-violation is near zero, cross-violation substantial") {

@@ -269,16 +269,41 @@ class MomentsSpec extends SparkSpec {
     }
   }
 
+  /** Bit for bit (`Arrays.equals` compares the doubles' bits). */
+  private def same(x: Moments, y: Moments) =
+    x.n == y.n && x.cols == y.cols && java.util.Arrays.equals(x.sums, y.sums) &&
+      java.util.Arrays.equals(x.gram.data, y.gram.data)
+
   test("two scans of the same partitioning give bit-identical moments") {
     import spark.implicits._
     val df = spark.sparkContext.parallelize(groupedRows(3000), 6).toDF("g", "a", "b", "c")
     val cols = Seq("a", "b", "c")
     val s1 = Moments.scan(df, cols, Seq("g"))
     val s2 = Moments.scan(df, cols, Seq("g"))
-    def same(x: Moments, y: Moments) =
-      x.n == y.n && x.sums.sameElements(y.sums) && x.gram.data.sameElements(y.gram.data)
     assert(same(s1.global, s2.global))
     val (g1, g2) = (s1.groups.head.get, s2.groups.head.get)
     assert(g1.keySet == g2.keySet && g1.keys.forall(k => same(g1(k), g2(k))))
+  }
+
+  test("scan: the global moments equal Moments.of bit for bit, whatever groups ride along") {
+    import spark.implicits._
+    // g has 5 values, h 7, k 5 and a null on every 11th row; 1 in 13 rows
+    // has a NaN, so group keys of dropped rows are seen too.
+    val rows = groupedRows(3000).zipWithIndex.map { case ((g, a, b, c), i) =>
+      (g, s"h${i % 7}", if (i % 11 == 0) null else g, if (i % 13 == 0) Double.NaN else a, b, c)
+    }
+    val cols = Seq("a", "b", "c")
+    for (parts <- Seq(1, 3, 8)) {
+      val df = spark.sparkContext.parallelize(rows, parts).toDF("g", "h", "k", "a", "b", "c")
+      val of = Moments.of(df, cols)
+      assert(of.n == 3000 - 231)
+      // maxDistinct 5: h goes over, g and k do not.
+      for (groups <- Seq(Seq("g"), Seq("h"), Seq("k"), Seq("g", "h"), Seq("h", "k", "g"))) {
+        val scan = Moments.scan(df, cols, groups, maxDistinct = 5)
+        assert(scan.groupCols == groups)
+        assert(scan.groups.map(_.isEmpty) == groups.map(_ == "h"))
+        assert(same(scan.global, of), s"$parts partitions, groups $groups")
+      }
+    }
   }
 }

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Per-suite test times and source size, for the record of each change.
+
+Reads the JUnit XML reports sbt writes to target/test-reports/ and prints
+each suite's time, test count and failures, the slowest tests, and the line
+counts of src/main and jobs/ (Scala files, as `wc -l` counts them).
+
+Usage: python3 tools/suite_times.py [--reports DIR] [--slowest N]
+
+A report lingers until target/ is cleaned, so a suite that was renamed or
+not run shows its last time; the timestamp column tells them apart.
+"""
+import argparse
+import glob
+import os
+import sys
+import xml.etree.ElementTree as ET
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def scala_lines(path):
+    total = 0
+    for f in glob.glob(os.path.join(ROOT, path, "**", "*.scala"), recursive=True):
+        with open(f, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reports", default=os.path.join(ROOT, "target", "test-reports"))
+    ap.add_argument("--slowest", type=int, default=5)
+    args = ap.parse_args()
+
+    suites, cases = [], []
+    for f in sorted(glob.glob(os.path.join(args.reports, "TEST-*.xml"))):
+        s = ET.parse(f).getroot()
+        name = s.get("name")
+        failed = int(s.get("failures", 0)) + int(s.get("errors", 0))
+        suites.append((float(s.get("time", 0)), name, int(s.get("tests", 0)), failed, s.get("timestamp", "")))
+        for c in s.iter("testcase"):
+            cases.append((float(c.get("time", 0)), name.rsplit(".", 1)[-1], c.get("name")))
+    if not suites:
+        sys.exit(f"no TEST-*.xml under {args.reports}; run `sbt test` first")
+
+    print(f"{'suite':<44}{'time s':>9}{'tests':>7}{'failed':>8}  timestamp")
+    for t, name, n, failed, ts in sorted(suites, reverse=True):
+        print(f"{name:<44}{t:>9.1f}{n:>7}{failed:>8}  {ts}")
+    print(f"{'total':<44}{sum(s[0] for s in suites):>9.1f}{sum(s[2] for s in suites):>7}"
+          f"{sum(s[3] for s in suites):>8}")
+
+    print(f"\nslowest {args.slowest} tests:")
+    for t, suite, name in sorted(cases, reverse=True)[:args.slowest]:
+        print(f"{t:>8.1f} s  {suite}: {name}")
+
+    print(f"\nlines: src/main {scala_lines('src/main')}, jobs/ {scala_lines('jobs')}")
+
+
+if __name__ == "__main__":
+    main()
