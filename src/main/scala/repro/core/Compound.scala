@@ -6,6 +6,18 @@ import org.apache.spark.unsafe.types.UTF8String
   * conformance model DISYNTH produces for a dataset.
   */
 
+/** A fitted model's score of one tuple, the one scoring path of every model:
+  * [[ScoreExpr]] evaluates `scoreAt` on each row, with `x` its `numericCols`
+  * (null read as NaN) and `idx` the [[branchIndex]] of each of its
+  * `partitionAttrs`. NaN means the tuple has no score.
+  */
+trait TupleScore extends Serializable {
+  def numericCols: Seq[String]
+  def partitionAttrs: Seq[String] = Nil
+  def branchIndex(a: Int, v: UTF8String): Int = -1
+  def scoreAt(idx: Array[Int], x: Array[Double]): Double
+}
+
 /** A simple invariant fitted to one dataset (or partition), together with
   * the statistics interventions and explanations need.
   *
@@ -73,17 +85,17 @@ final case class ConformanceModel(
     numericCols: Seq[String],
     global: FittedSimple,
     disjunctive: Seq[DisjunctiveInvariant],
-) {
+) extends TupleScore {
 
   private val parts: Array[DisjunctiveInvariant] = disjunctive.toArray
 
   /** Attributes the compound invariants switch on. */
-  def partitionAttrs: Seq[String] = disjunctive.map(_.attr)
+  override def partitionAttrs: Seq[String] = disjunctive.map(_.attr)
 
   /** Branch index of disjunctive attribute `a`'s value `v` (−1: null or
     * unseen).
     */
-  def branchIndex(a: Int, v: UTF8String): Int = parts(a).branchIndex(v)
+  override def branchIndex(a: Int, v: UTF8String): Int = parts(a).branchIndex(v)
 
   /** Branch index of each disjunctive attribute's value (−1: null, unseen
     * or absent from the map).
@@ -109,6 +121,9 @@ final case class ConformanceModel(
       }
       s / parts.length
     }
+
+  /** [[violationAt]], the model's score. */
+  def scoreAt(idx: Array[Int], x: Array[Double]): Double = violationAt(idx, x)
 
   /** [[violationAt]] of a tuple given as each partition attribute's value. */
   def violation(partVals: Map[String, Option[String]], x: Array[Double]): Double = {

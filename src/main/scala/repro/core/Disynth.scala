@@ -18,7 +18,7 @@ import repro.stats.Moments
   *
   * Scoring: a `DataFrame → DataFrame` transformation appending a
   * `violation ∈ [0,1]` column, no shuffle. The column is a Catalyst
-  * expression, [[ViolationExpr]], over the [[ConformanceModel]] itself
+  * expression, [[ScoreExpr]], over the [[ConformanceModel]] itself
   * (its simple invariants store flat arrays, O(m²) doubles per branch);
   * whole-stage codegen compiles it into the query's generated Java, which
   * reads each row's numeric values and branch indexes into reused buffers.
@@ -94,7 +94,7 @@ object Disynth {
     * @param outCol name of the appended score column
     */
   def score(df: DataFrame, model: ConformanceModel, outCol: String = "violation"): DataFrame =
-    df.withColumn(outCol, ViolationExpr.column(model))
+    df.withColumn(outCol, ScoreExpr.column(model))
 
   /** Average violation of a dataset against a model — the paper's drift
     * magnitude of `df` relative to the model's training data (§2, §6.2).

@@ -2,6 +2,7 @@ package repro.drift
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.{ScoreExpr, TupleScore}
 import repro.linalg.{Eigen, Mat}
 import repro.stats.{Moments, Standardizer}
 
@@ -79,6 +80,7 @@ object ChangeDetection {
       varianceFraction: Double = 0.99,
       bins: Int = 30,
   ): Model = {
+    require(mom.n > 0, "ChangeDetection.fit: empty reference window")
     val numericCols = mom.cols
     val m = numericCols.length
     val z = mom.standardizer
@@ -103,29 +105,35 @@ object ChangeDetection {
       val w = math.max(b - a, 1e-9)
       lo(i) = a - 0.5 * w; hi(i) = b + 0.5 * w
     }
-    val refHist = histograms(aggregate(scored, binCounts(lo, hi, bins)), bins)
+    val refHist = histograms(aggregate(scored, binCounts(lo, hi, bins)).get, bins)
     Model(numericCols, z, comps, lo, hi, refHist, bins)
   }
 
-  /** Divergence of `df` from the reference window under `metric`. */
+  /** Divergence of `df` from the reference window under `metric`; 0 for an empty `df`. */
   def drift(df: DataFrame, model: Model, metric: Metric): Double =
-    model.divergence(aggregate(model.withScores(df), model.binCounts), metric)
+    aggregate(model.withScores(df), model.binCounts).fold(0.0)(model.divergence(_, metric))
 
-  private def aggregate(df: DataFrame, aggs: Seq[Column]): Array[Double] = {
+  /** The aggregates of `df`, or None when `df` has no rows (every sum is null). */
+  private def aggregate(df: DataFrame, aggs: Seq[Column]): Option[Array[Double]] = {
     val row = df.agg(aggs.head, aggs.tail: _*).head()
-    Array.tabulate(aggs.length)(row.getDouble)
+    if (row.isNullAt(0)) None else Some(Array.tabulate(aggs.length)(row.getDouble))
   }
 
   private def score(k: Int): Column = col(s"__cd$k")
 
-  /** `df` with the dot product of component k and the row's z-scores appended
-    * as [[score]](k): a projection of its own, so below an aggregate a row
+  /** A raw tuple's score on component `w`: the dot product of `w` and its z-scores. */
+  private final case class Projection(numericCols: Seq[String], z: Standardizer, w: Array[Double]) extends TupleScore {
+    def scoreAt(idx: Array[Int], x: Array[Double]): Double = Mat.dot(w, z(x))
+  }
+
+  /** `df` with each row's [[Projection]] on component k appended as
+    * [[score]](k): a projection of its own, so below an aggregate a row
     * computes each score once, not once per bin.
     */
-  private def scores(df: DataFrame, cols: Seq[String], z: Standardizer, comps: Array[Array[Double]]): DataFrame = {
-    val zs = z.columns(cols)
-    df.select(col("*") +: comps.toSeq.zipWithIndex.map { case (c, k) => Mat.dot(c, zs).as(s"__cd$k") }: _*)
-  }
+  private def scores(df: DataFrame, cols: Seq[String], z: Standardizer, comps: Array[Array[Double]]): DataFrame =
+    df.select(col("*") +: comps.toSeq.zipWithIndex.map { case (w, k) =>
+      ScoreExpr.column(Projection(cols, z, w)).as(s"__cd$k")
+    }: _*)
 
   /** Equal-width bin counts of each component score as sums of indicators,
     * component-major; the last bin is closed above.

@@ -2,6 +2,7 @@ package repro.drift
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.{ScoreExpr, TupleScore}
 import repro.linalg.{Eigen, Mat}
 import repro.stats.{Moments, Standardizer}
 
@@ -23,27 +24,29 @@ object PcaSpll {
 
   /** Fitted detector.
     *
-    * @param cols       numeric columns (model ordering)
-    * @param z          standardization by the training means and stds
-    * @param components retained eigenvectors (rows), lowest variance first
-    * @param variances  eigenvalue (variance) of each retained component,
-    *                   floored for Mahalanobis stability
+    * @param numericCols numeric columns (model ordering)
+    * @param z           standardization by the training means and stds
+    * @param components  retained eigenvectors (rows), lowest variance first
+    * @param variances   eigenvalue (variance) of each retained component,
+    *                    floored for Mahalanobis stability
     */
   final case class Model(
-      cols: Seq[String],
+      numericCols: Seq[String],
       z: Standardizer,
       components: Array[Array[Double]],
       variances: Array[Double],
-  ) {
+  ) extends TupleScore {
 
-    /** Each row's squared Mahalanobis distance in the retained subspace,
-      * `Σₖ pₖ² / varianceₖ` over its component scores pₖ: null on a row
-      * with a null or NaN attribute ([[Standardizer.columns]]).
+    /** A raw tuple's squared Mahalanobis distance in the retained subspace,
+      * `Σₖ pₖ² / varianceₖ` over its component scores pₖ: NaN for a NaN value.
       */
-    def statistic: Column = {
-      val zs = z.columns(cols)
-      components.map(Mat.dot(_, zs)).zip(variances).foldLeft(lit(0.0)) { case (s, (p, v)) => s + p * p / v }
+    def scoreAt(idx: Array[Int], x: Array[Double]): Double = {
+      val zx = z(x)
+      components.indices.foldLeft(0.0) { (s, k) => val p = Mat.dot(components(k), zx); s + p * p / variances(k) }
     }
+
+    /** Each row's [[scoreAt]]: null on a row with a null or NaN attribute. */
+    def statistic: Column = ScoreExpr.column(this)
   }
 
   /** Fit on a reference window's moments, on the driver.

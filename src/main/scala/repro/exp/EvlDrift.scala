@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.{avg, lit}
-import repro.core.{Disynth, ViolationExpr}
+import repro.core.{Disynth, ScoreExpr}
 import repro.data.Evl
 import repro.drift.{ChangeDetection, PcaSpll}
 import repro.stats.{Moments, Stats}
@@ -45,7 +45,7 @@ object EvlDrift {
       .reduce(_ unionAll _)
     val cdBins = cd.binCounts
     val rows = cd.withScores(windows).groupBy("window")
-      .agg(avg(ViolationExpr.column(dis)), avg(spll.statistic) +: cdBins: _*)
+      .agg(avg(ScoreExpr.column(dis)), avg(spll.statistic) +: cdBins: _*)
       .collect().sortBy(_.getInt(0)).toSeq
     val counts = rows.map(r => Array.tabulate(cdBins.length)(b => r.getDouble(3 + b)))
     val raw = Map(

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{ConformanceModel, Disynth, ViolationExpr}
+import repro.core.{ConformanceModel, Disynth, ScoreExpr}
 import repro.data.Har
 import repro.linalg.Mat
 import repro.ml.LogisticRegression
@@ -97,7 +97,7 @@ object HarExperiments {
     */
   private[exp] def driftCurve(hold: DataFrame, dis: ConformanceModel, wpca: ConformanceModel): Seq[DriftPoint] = {
     val cells = hold.groupBy("person", "activity")
-      .agg(sum(ViolationExpr.column(dis)), sum(ViolationExpr.column(wpca)), count(lit(1)))
+      .agg(sum(ScoreExpr.column(dis)), sum(ScoreExpr.column(wpca)), count(lit(1)))
       .collect()
       .map(r => (r.getString(0), r.getString(1)) -> (r.getDouble(2), r.getDouble(3), r.getLong(4)))
       .toMap
@@ -149,7 +149,7 @@ object HarExperiments {
     * `labels(i)`'s invariants.
     */
   private[exp] def heatmap(all: DataFrame, labels: Seq[String], rowCol: String, partCol: String): Mat = {
-    val avgs = heatmapModels(Har.trainHalf(all), labels, rowCol, partCol).map(m => avg(ViolationExpr.column(m)))
+    val avgs = heatmapModels(Har.trainHalf(all), labels, rowCol, partCol).map(m => avg(ScoreExpr.column(m)))
     val byLabel = Har.holdHalf(all).groupBy(col(rowCol)).agg(avgs.head, avgs.tail: _*)
       .collect().map(r => r.getString(0) -> r).toMap
     val n = labels.length

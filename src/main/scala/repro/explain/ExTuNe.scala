@@ -3,7 +3,7 @@ package repro.explain
 import scala.collection.parallel.CollectionConverters._
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.types.UTF8String
-import repro.core.{ConformanceModel, Disynth, ViolationExpr}
+import repro.core.{ConformanceModel, ScoreExpr}
 
 /** ExTuNe — intervention-centric explanation of tuple non-conformance
   * (§6.3): responsibility of attribute Aᵢ for a tuple's violation.
@@ -153,7 +153,7 @@ object ExTuNe {
   def aggregate(df: DataFrame, model: ConformanceModel, maxTuples: Int = 1000): Seq[(String, Double)] = {
     require(maxTuples > 0, s"ExTuNe.aggregate: maxTuples must be positive, got $maxTuples")
     val m = model.numericCols.length
-    val rows = df.select(ViolationExpr.inputs(model): _*).limit(maxTuples).collect()
+    val rows = df.select(ScoreExpr.inputs(model): _*).limit(maxTuples).collect()
     require(rows.nonEmpty, "ExTuNe.aggregate: empty input")
 
     val resp = new Array[Double](rows.length * m)
@@ -171,13 +171,5 @@ object ExTuNe {
       t += 1
     }
     model.numericCols.zip(sums.map(_ / rows.length).toSeq)
-  }
-
-  /** Convenience: drift score and top-k responsible attributes of `df`. */
-  def explainDrift(df: DataFrame, model: ConformanceModel, topK: Int = 3, maxTuples: Int = 500)
-      : (Double, Seq[(String, Double)]) = {
-    val drift = Disynth.avgViolation(df, model)
-    val resp = aggregate(df, model, maxTuples).sortBy(-_._2).take(topK)
-    (drift, resp)
   }
 }

@@ -19,16 +19,16 @@ object Eigen {
     def vector(k: Int): Array[Double] = vectors.col(k)
   }
 
+  /** Jacobi stops once max |off-diagonal| < `Tol`·‖A‖_F, or after `MaxSweeps`
+    * full sweeps (each visits every off-diagonal pair once; ~8–12 suffice here). */
+  private val Tol = 1e-12
+  private val MaxSweeps = 50
+
   /** Decompose a symmetric matrix A into eigenvalues/eigenvectors.
     *
     * @param a symmetric matrix (only symmetry is required, not definiteness)
-    * @param tol convergence threshold on the max |off-diagonal| relative to
-    *            the Frobenius norm of A
-    * @param maxSweeps upper bound on full Jacobi sweeps (a sweep visits every
-    *                  off-diagonal pair once); 50 is far beyond what symmetric
-    *                  matrices of this size need (~8–12)
     */
-  def symmetric(a: Mat, tol: Double = 1e-12, maxSweeps: Int = 50): EigenResult = {
+  def symmetric(a: Mat): EigenResult = {
     require(a.rows == a.cols, "Eigen.symmetric: matrix must be square")
     val n = a.rows
     var i = 0
@@ -46,7 +46,7 @@ object Eigen {
     val v = Mat.eye(n)
     val fro = math.sqrt(m.data.map(x => x * x).sum).max(1e-300)
     var sweep = 0
-    while (sweep < maxSweeps && m.maxOffDiagAbs > tol * fro) {
+    while (sweep < MaxSweeps && m.maxOffDiagAbs > Tol * fro) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1

@@ -1,8 +1,5 @@
 package repro.linalg
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.lit
-
 /** Minimal dense, row-major, square-friendly matrix used by the eigen and
   * normal-equation substrates.
   *
@@ -79,10 +76,6 @@ object Mat {
     while (i < a.length) { s += a(i) * b(i); i += 1 }
     s
   }
-
-  /** `init + Σ aᵢ·xᵢ` per row, as a column summed in [[dot]]'s order. */
-  def dot(a: Array[Double], xs: Seq[Column], init: Column = lit(0.0)): Column =
-    a.indices.foldLeft(init)((s, i) => s + lit(a(i)) * xs(i))
 
   /** Euclidean (2-)norm. */
   def norm2(a: Array[Double]): Double = math.sqrt(dot(a, a))

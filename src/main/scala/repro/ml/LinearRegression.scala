@@ -2,6 +2,7 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.{ScoreExpr, TupleScore}
 import repro.linalg.{Mat, Solve}
 import repro.stats.Moments
 
@@ -18,21 +19,23 @@ import repro.stats.Moments
 object LinearRegression {
 
   /** A fitted model: ŷ = intercept + Σ weights(i)·x(i). */
-  final case class Model(features: Seq[String], intercept: Double, weights: Array[Double]) {
+  final case class Model(features: Seq[String], intercept: Double, weights: Array[Double]) extends TupleScore {
 
+    def numericCols: Seq[String] = features
     def predict(x: Array[Double]): Double = intercept + Mat.dot(weights, x)
+    def scoreAt(idx: Array[Int], x: Array[Double]): Double = predict(x)
 
-    /** Append column `outCol` with predictions, with the bits of
-      * [[predict]]; a row with a null feature gets a null prediction.
+    /** Append column `outCol` with each row's [[predict]]; a row with a
+      * null or NaN feature gets a null prediction.
       */
     def transform(df: DataFrame, outCol: String = "prediction"): DataFrame =
-      df.withColumn(outCol, lit(intercept) + Mat.dot(weights, features.map(c => col(c).cast("double"))))
+      df.withColumn(outCol, ScoreExpr.column(this))
 
-    /** Mean absolute error of the predictions against `target` on `df`. */
-    def mae(df: DataFrame, target: String): Double =
-      transform(df, "__p")
-        .agg(avg(abs(col("__p") - col(target).cast("double"))))
-        .head().getDouble(0)
+    /** Mean absolute error of the predictions against `target` on `df`; NaN if none. */
+    def mae(df: DataFrame, target: String): Double = {
+      val row = transform(df, "__p").agg(avg(abs(col("__p") - col(target).cast("double")))).head()
+      if (row.isNullAt(0)) Double.NaN else row.getDouble(0)
+    }
   }
 
   /** Fit by normal equations.

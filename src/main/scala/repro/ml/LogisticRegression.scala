@@ -2,7 +2,7 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.linalg.Mat
+import repro.core.{ScoreExpr, TupleScore}
 import repro.stats.{Moments, Standardizer}
 
 /** Multiclass (softmax) logistic regression — the classifier substrate the
@@ -30,47 +30,47 @@ object LogisticRegression {
       labels: Seq[String],
       z: Standardizer,
       weights: Array[Array[Double]],
-  ) {
+  ) extends TupleScore {
 
-    /** Predicted label for a raw (unstandardized) feature vector. */
-    def predict(x: Array[Double]): String = {
+    def numericCols: Seq[String] = features
+
+    /** The index of the first label of highest score for a raw
+      * (unstandardized) feature vector; NaN when a score is NaN, as every
+      * score is for a NaN feature.
+      */
+    def scoreAt(idx: Array[Int], x: Array[Double]): Double = {
       val zx = z(x)
       var best = 0; var bestScore = Double.NegativeInfinity
       var k = 0
       while (k < labels.length) {
         var s = weights(k)(0); var i = 0
         while (i < zx.length) { s += weights(k)(i + 1) * zx(i); i += 1 }
+        if (s.isNaN) return Double.NaN
         if (s > bestScore) { bestScore = s; best = k }
         k += 1
       }
-      labels(best)
+      best
     }
 
-    /** Append `outCol` with the predicted label: the first label of highest
-      * score, as [[predict]] picks it from the same score bits. A row with a
-      * null or NaN feature gets a null label.
+    /** Predicted label for a raw feature vector; null for a NaN feature. */
+    def predict(x: Array[Double]): String = {
+      val k = scoreAt(Array.emptyIntArray, x)
+      if (k.isNaN) null else labels(k.toInt)
+    }
+
+    /** Append `outCol` with each row's [[predict]] label; a row with a null
+      * or NaN feature gets a null label.
       */
-    def transform(df: DataFrame, outCol: String = "predicted"): DataFrame = {
-      val zs = features.indices.map(i => s"__z$i")
-      val ss = labels.indices.map(k => s"__score$k")
-      // Projections of their own, so a row computes each z-score and score
-      // once. A null z-score becomes NaN, which makes every score NaN, and
-      // the scores compile without null checks.
-      val scored = df
-        .select(col("*") +: z.columns(features).zip(zs).map { case (c, n) => coalesce(c, lit(Double.NaN)).as(n) }: _*)
-        .select(col("*") +: weights.toSeq.zip(ss).map { case (w, n) => Mat.dot(w.tail, zs.map(col), lit(w(0))).as(n) }: _*)
-      val best = if (ss.length == 1) col(ss.head) else greatest(ss.map(col): _*)
-      val label = labels.indices.tail.foldLeft(when(col(ss.head) === best, labels.head)) { (c, k) =>
-        c.when(col(ss(k)) === best, labels(k))
-      }
-      scored.withColumn(outCol, when(!isnan(best), label)).drop(zs ++ ss: _*)
-    }
+    def transform(df: DataFrame, outCol: String = "predicted"): DataFrame =
+      df.withColumn(outCol, typedLit(labels).getItem(ScoreExpr.column(this).cast("int")))
 
-    /** Fraction of rows of `df` whose prediction matches `labelCol` (none is a miss). */
-    def accuracy(df: DataFrame, labelCol: String): Double =
-      transform(df, "__pred")
+    /** Fraction of rows of `df` whose prediction matches `labelCol` (none is a miss); NaN if none. */
+    def accuracy(df: DataFrame, labelCol: String): Double = {
+      val row = transform(df, "__pred")
         .agg(avg(when(col("__pred") === col(labelCol).cast("string"), 1.0).otherwise(0.0)))
-        .head().getDouble(0)
+        .head()
+      if (row.isNullAt(0)) Double.NaN else row.getDouble(0)
+    }
   }
 
   /** Train with full-batch gradient descent.
@@ -91,13 +91,13 @@ object LogisticRegression {
     val complete = df.na.drop(labelCol +: features)
     val z = Moments.of(complete, features).standardizer
 
-    val rows = complete.select(col(labelCol).cast("string") +: z.columns(features): _*).collect()
+    val rows = complete.select(col(labelCol).cast("string") +: features.map(col(_).cast("double")): _*).collect()
     require(rows.nonEmpty, "LogisticRegression.fit: empty training data")
 
     val labels = rows.map(_.getString(0)).distinct.sorted.toSeq
     val labelIdx = labels.zipWithIndex.toMap
     val m = features.length
-    val x = rows.map(r => Array.tabulate(m)(i => r.getDouble(i + 1)))
+    val x = rows.map(r => z(Array.tabulate(m)(i => r.getDouble(i + 1))))
     val y = rows.map(r => labelIdx(r.getString(0)))
     val nK = labels.length
     val n = rows.length

@@ -1,14 +1,22 @@
 package repro.core
 
 import scala.util.Random
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.catalyst.expressions.{ArrayPosition, BindReferences, Expression, ScalaUDF}
+import org.apache.spark.sql.catalyst.expressions.{ArrayPosition, BindReferences, Expression, Literal, ScalaUDF}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenContext
 import org.apache.spark.sql.execution.{InputAdapter, ProjectExec, SparkPlan, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.functions.avg
 import org.apache.spark.sql.types._
 import repro.SparkSpec
+import repro.drift.{ChangeDetection, PcaSpll}
+import repro.ml.{LinearRegression, LogisticRegression}
+import repro.stats.Moments
 
+/** The score expression: DISYNTH's violation on every evaluation path, and
+  * the plans every other model scores through.
+  */
 class ViolationExprSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   /** Spark settings under which each score path runs; none may fall back to
@@ -120,9 +128,9 @@ class ViolationExprSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     */
   private def boundScore(scored: DataFrame): Expression = {
     val project = collectFirst(scored.queryExecution.executedPlan) {
-      case p: ProjectExec if p.projectList.exists(_.find(_.isInstanceOf[ViolationExpr]).isDefined) => p
+      case p: ProjectExec if p.projectList.exists(_.find(_.isInstanceOf[ScoreExpr]).isDefined) => p
     }.get
-    val v = project.projectList.flatMap(_.collect { case v: ViolationExpr => v }).head
+    val v = project.projectList.flatMap(_.collect { case v: ScoreExpr => v }).head
     BindReferences.bindReference(v: Expression, project.child.output)
   }
 
@@ -172,7 +180,63 @@ class ViolationExprSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(!all.exists(e => e.isInstanceOf[ScalaUDF] || e.isInstanceOf[ArrayPosition]), plan.toString)
       val staged = collect(plan) { case w: WholeStageCodegenExec => w }
         .flatMap(w => stageNodes(w.child).flatMap(exprs))
-      assert(staged.exists(_.isInstanceOf[ViolationExpr]), plan.toString)
+      assert(staged.exists(_.isInstanceOf[ScoreExpr]), plan.toString)
     }
+  }
+
+  /** `label` plus three offset numeric columns, the middle one linear in the first. */
+  private def labelled(rnd: Random, n: Int, shift: Double): DataFrame = {
+    import spark.implicits._
+    // Parallelized, not local, so the optimizer does not evaluate the score itself.
+    spark.sparkContext.parallelize((1 to n).map { i =>
+      val a = rnd.nextGaussian()
+      (Seq("a", "b", "c")(i % 3), shift + 3 * (i % 3) + 2 * a, -1 + a + 0.1 * rnd.nextGaussian(), 0.5 * a + rnd.nextGaussian())
+    }, 3).toDF("label", "x", "y", "v")
+  }
+
+  test("the PCA-SPLL, CD, linear and softmax plans score in whole-stage codegen, with no UDF and no weight as a literal") {
+    val rnd = new Random(34)
+    val df = labelled(rnd, 300, 0.0)
+    val cols = Seq("x", "y", "v")
+    val mom = Moments.of(df, cols)
+    val spll = PcaSpll.fit(mom, varianceFraction = 1.5)
+    val cd = ChangeDetection.fit(df, mom)
+    val lin = LinearRegression.fit(df, Seq("x", "y"), "v")
+    val soft = LogisticRegression.fit(df, cols, "label", iters = 20)
+    val plans = Seq(
+      "PCA-SPLL" -> (df.agg(avg(spll.statistic)),
+        spll.z.means ++ spll.z.stds ++ spll.components.flatten ++ spll.variances),
+      "CD" -> (cd.withScores(df).agg(cd.binCounts.head, cd.binCounts.tail: _*),
+        cd.z.means ++ cd.z.stds ++ cd.components.flatten),
+      "linear" -> (lin.transform(df, "p").agg(avg("p")), lin.intercept +: lin.weights),
+      "softmax" -> (soft.transform(df, "p").groupBy("p").count(),
+        soft.z.means ++ soft.z.stds ++ soft.weights.flatten),
+    )
+    plans.foreach { case (name, (q, params)) =>
+      q.collect()
+      val plan = q.queryExecution.executedPlan
+      val all = collect(plan) { case p => p }.flatMap(exprs)
+      assert(!all.exists(_.isInstanceOf[ScalaUDF]), s"$name: $plan")
+      val literals = all.collect { case Literal(v: Double, DoubleType) => v }.toSet
+      assert(params.forall(w => w == 0.0 || w == 1.0 || !literals.contains(w)), s"$name: a weight is a literal in $plan")
+      val staged = collect(plan) { case w: WholeStageCodegenExec => w }.flatMap(w => stageNodes(w.child).flatMap(exprs))
+      assert(staged.exists(_.isInstanceOf[ScoreExpr]), s"$name: $plan")
+    }
+  }
+
+  test("two softmax models of the same shape generate the same Java, which Spark compiles once") {
+    val rnd = new Random(35)
+    val test = labelled(rnd, 120, 0.0)
+    val Seq(m1, m2) = Seq(0.0, 5.0).map(s => LogisticRegression.fit(labelled(rnd, 120, s), Seq("x", "y", "v"), "label", iters = 20))
+    assert(!java.util.Arrays.equals(m1.weights(0), m2.weights(0)))
+    def generated(m: LogisticRegression.Model): Seq[String] = {
+      val q = m.transform(test, "p").groupBy("p").count()
+      q.collect()
+      collect(q.queryExecution.executedPlan) { case w: WholeStageCodegenExec => w.doCodeGen()._2.body }
+    }
+    val first = generated(m1)
+    val compiled = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    assert(first.nonEmpty && generated(m2) == first)
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount == compiled)
   }
 }

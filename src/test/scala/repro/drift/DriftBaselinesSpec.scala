@@ -132,16 +132,25 @@ class DriftBaselinesSpec extends SparkSpec {
   test("PCA-SPLL columns equal a plain-Scala reference bit for bit") {
     val model = PcaSpll.fit(Moments.of(skewed, xyv), varianceFraction = 1.5)
     assert(model.components.length == 3)
-    val zs = model.z.columns(model.cols)
-    val ps = model.components.toSeq.map(Mat.dot(_, zs))
-    val rows = skewed.select((xyv.map(col) ++ zs ++ ps :+ model.statistic): _*).collect()
+    val rows = skewed.select((xyv.map(col) :+ model.statistic): _*).collect()
     rows.foreach { r =>
       val zx = model.z(Array.tabulate(3)(r.getDouble))
       val p = model.components.map(Mat.dot(_, zx))
       var m2 = 0.0
       p.indices.foreach(k => m2 += p(k) * p(k) / model.variances(k))
-      val expected = zx ++ p :+ m2
-      expected.indices.foreach(i => assert(bits(r.getDouble(3 + i)) == bits(expected(i)), s"column $i of $r"))
+      assert(bits(r.getDouble(3)) == bits(m2), s"statistic of $r")
+    }
+  }
+
+  test("CD score columns equal a plain-Scala reference bit for bit") {
+    val model = ChangeDetection.fit(skewed, Moments.of(skewed, xyv))
+    assert(model.components.nonEmpty)
+    val rows = model.withScores(skewed).collect()
+    rows.foreach { r =>
+      val zx = model.z(Array.tabulate(3)(r.getDouble))
+      model.components.indices.foreach { k =>
+        assert(bits(r.getDouble(3 + k)) == bits(Mat.dot(model.components(k), zx)), s"score $k of $r")
+      }
     }
   }
 
@@ -178,6 +187,21 @@ class DriftBaselinesSpec extends SparkSpec {
     Seq(ChangeDetection.MKL, ChangeDetection.Area).foreach { metric =>
       assert(bits(ChangeDetection.drift(dirty, cd, metric)) == bits(ChangeDetection.drift(window, cd, metric)), s"$metric")
     }
+  }
+
+  test("CD drift of an empty window is 0, as PCA-SPLL's is") {
+    val cd = ChangeDetection.fit(skewed, Moments.of(skewed, xyv))
+    val empty = skewed.limit(0)
+    Seq(ChangeDetection.MKL, ChangeDetection.Area).foreach { metric =>
+      assert(ChangeDetection.drift(empty, cd, metric) == 0.0, s"$metric")
+    }
+    assert(PcaSpll.drift(empty, PcaSpll.fit(Moments.of(skewed, xyv))) == 0.0)
+  }
+
+  test("CD fit rejects an empty reference window") {
+    val empty = skewed.limit(0)
+    val e = intercept[IllegalArgumentException](ChangeDetection.fit(empty, Moments.of(empty, xyv)))
+    assert(e.getMessage.contains("empty reference window"))
   }
 
   // ---------------- W-PCA ----------------

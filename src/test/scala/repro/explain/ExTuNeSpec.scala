@@ -74,16 +74,6 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     assert(resp.forall(_ == 0.0))
   }
 
-  test("explainDrift returns the drift score plus top attributes") {
-    val rnd = new scala.util.Random(5)
-    val train = (1 to 400).map(_ => (rnd.nextGaussian(), rnd.nextGaussian())).toDF("a", "b")
-    val model = Disynth.fit(train, Seq("a", "b"))
-    val test = (1 to 80).map(_ => (12.0 + rnd.nextGaussian(), rnd.nextGaussian())).toDF("a", "b")
-    val (drift, top) = ExTuNe.explainDrift(test, model, topK = 1)
-    assert(drift > 0.1)
-    assert(top.head._1 == "a")
-  }
-
   test("aggregate rejects empty input") {
     val df = Seq.empty[(Double, Double)].toDF("a", "b")
     val model = Disynth.fit(train2d(), Seq("a", "b"))
@@ -212,7 +202,7 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     val n = 300
     assert(model.partitionAttrs == Seq("d0", "d1"))
 
-    val sample = df.select(ViolationExpr.inputs(model): _*).limit(n).collect()
+    val sample = df.select(ScoreExpr.inputs(model): _*).limit(n).collect()
     assert(sample.length == n)
     var conforming, nullCat, unseen, nan, inf, multiRound = 0
     val sums = new Array[Double](m)

@@ -69,6 +69,11 @@ class LinearRegressionSpec extends SparkSpec {
     assert(m.mae(withNull, "y") == m.mae(df, "y"))
   }
 
+  test("mae of an empty frame is NaN") {
+    val df = Seq((1.0, 10.0), (2.0, 14.0)).toDF("x", "y")
+    assert(LinearRegression.Model(Seq("x"), 6.0, Array(4.0)).mae(df.limit(0), "y").isNaN)
+  }
+
   test("collinear features are handled via ridge (airlines scenario)") {
     // b == 2a exactly: the normal equations are singular without ridge.
     val rnd = new scala.util.Random(3)

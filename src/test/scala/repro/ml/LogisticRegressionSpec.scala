@@ -59,6 +59,20 @@ class LogisticRegressionSpec extends SparkSpec {
     assert(math.abs(m.accuracy(withNull, "label") - hits / 241) < 1e-12)
   }
 
+  test("predict and transform agree on a NaN row: no label") {
+    val df = blobs(40, Seq(("a", 0.0, 0.0), ("b", 5.0, 5.0)), 1.0, 10)
+    val m = LogisticRegression.fit(df, Seq("x", "y"), "label", iters = 40)
+    assert(m.predict(Array(Double.NaN, 1.0)) == null)
+    val nanRow = Seq(("a", Double.NaN, 1.0)).toDF("label", "x", "y")
+    assert(m.transform(nanRow, "p").head().isNullAt(3))
+  }
+
+  test("accuracy of an empty frame is NaN") {
+    val df = blobs(40, Seq(("a", 0.0, 0.0), ("b", 5.0, 5.0)), 1.0, 11)
+    val m = LogisticRegression.fit(df, Seq("x", "y"), "label", iters = 20)
+    assert(m.accuracy(df.limit(0), "label").isNaN)
+  }
+
   test("fit drops a row with a null feature before training") {
     val df = blobs(60, Seq(("a", 0.0, 0.0), ("b", 4.0, 4.0)), 1.0, 9)
     val withNull = df.union(Seq(("b", Option.empty[Double], 9.0)).toDF("label", "x", "y"))

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Per-suite test times and source size, for the record of each change.
 
-Reads the JUnit XML reports sbt writes to target/test-reports/ and prints
-each suite's time, test count and failures, the slowest tests, and the line
-counts of src/main and jobs/ (Scala files, as `wc -l` counts them).
+Reads the JUnit XML reports sbt writes to target/test-reports/ (and, when
+it exists, bench/target/test-reports/, so the bench suites print next to
+tier-1's) and prints each suite's time, test count and failures, the slowest
+tests, and the line counts of src/main and jobs/ (Scala files, as `wc -l`
+counts them).
 
 Usage: python3 tools/suite_times.py [--reports DIR] [--slowest N]
 
@@ -33,8 +35,10 @@ def main():
     ap.add_argument("--slowest", type=int, default=5)
     args = ap.parse_args()
 
+    bench = os.path.join(ROOT, "bench", "target", "test-reports")
+    dirs = [args.reports] + ([bench] if os.path.isdir(bench) else [])
     suites, cases = [], []
-    for f in sorted(glob.glob(os.path.join(args.reports, "TEST-*.xml"))):
+    for f in sorted(f for d in dirs for f in glob.glob(os.path.join(d, "TEST-*.xml"))):
         s = ET.parse(f).getroot()
         name = s.get("name")
         failed = int(s.get("failures", 0)) + int(s.get("errors", 0))
