@@ -12,14 +12,15 @@ import org.apache.spark.unsafe.types.UTF8String
 /** A model's per-tuple score ([[TupleScore]]) as a Catalyst expression:
   * every model scores rows through it, and whole-stage codegen compiles it
   * into the query's Java instead of crossing into a UDF. Its children are
-  * [[ScoreExpr.inputs]]; per row they fill two buffers, the doubles (null →
-  * NaN) and each partition attribute's branch index, which `scoreAt` scores,
-  * so a score has the same bits on every path. The value is null exactly
-  * where `scoreAt` is NaN, so aggregates skip those rows. The model is one
-  * reference object, not literals, so models of one class and shape
-  * generate the same Java, which Spark compiles once. Generated code keeps
-  * one pair of buffers per instance (one per task); `eval` allocates its
-  * own, so no path shares mutable state between threads.
+  * [[ScoreExpr.inputs]]; per row they fill two buffers, the doubles (null
+  * or ±∞ → NaN, a missing value) and each partition attribute's branch
+  * index, which `scoreAt` scores, so a score has the same bits on every
+  * path. The value is null exactly where `scoreAt` is NaN, so aggregates
+  * skip those rows. The model is one reference object, not literals, so
+  * models of one class and shape generate the same Java, which Spark
+  * compiles once. Generated code keeps one pair of buffers per instance
+  * (one per task); `eval` allocates its own, so no path shares mutable
+  * state between threads.
   */
 final case class ScoreExpr(children: Seq[Expression], model: TupleScore) extends Expression {
   require(children.length == model.numericCols.length + model.partitionAttrs.length, s"ScoreExpr: " +
@@ -38,7 +39,7 @@ final case class ScoreExpr(children: Seq[Expression], model: TupleScore) extends
     var i = 0
     while (i < children.length) {
       val v = children(i).eval(input)
-      if (i < m) x(i) = if (v == null) Double.NaN else v.asInstanceOf[Double]
+      if (i < m) x(i) = v match { case d: Double if !d.isInfinite => d; case _ => Double.NaN }
       else idx(i - m) = model.branchIndex(i - m, v.asInstanceOf[UTF8String])
       i += 1
     }
@@ -53,7 +54,7 @@ final case class ScoreExpr(children: Seq[Expression], model: TupleScore) extends
     val writes = children.zipWithIndex.map { case (c, i) =>
       val e = c.genCode(ctx)
       val store =
-        if (i < m) s"$x[$i] = ${e.isNull} ? java.lang.Double.NaN : ${e.value};"
+        if (i < m) s"$x[$i] = (${e.isNull} || java.lang.Double.isInfinite(${e.value})) ? java.lang.Double.NaN : ${e.value};"
         else s"$idx[${i - m}] = $ref.branchIndex(${i - m}, ${e.isNull} ? null : ${e.value});"
       s"${e.code}\n$store"
     }

@@ -1,7 +1,8 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.mllib.random.StandardNormalGenerator
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType, StructField, StructType}
 
 /** Synthetic Extreme-Verification-Latency benchmark (substitute for the 16
   * streams of Souza et al., §6.2).
@@ -100,16 +101,8 @@ object Evl {
     ds.sum / ds.size
   }
 
-  /** Generate one window of a stream.
-    *
-    * The rows are a function of (`name`, `window`, `nWindows`,
-    * `pointsPerClass`, `seed`) alone, never of the master's core count or
-    * `spark.sql.leafNodeDefaultParallelism`: Spark seeds `randn(s)` with
-    * `s + partitionIndex`, so each mode is built from a single-slice range
-    * and always draws partition 0's stream. Mode `mi` of class `ci` draws x
-    * with seed `seed + 1000·window + 10·ci + 2·mi` and y with that seed + 1,
-    * so no two noise columns of a window share a seed (that holds up to 5
-    * modes per class; every stream has at most 2).
+  /** Generate one window of a stream: [[windows]] of `window` alone,
+    * without its `window` column.
     *
     * @param pointsPerClass tuples per class (split across a class's modes)
     * @return DataFrame with columns `cls` (string), `x`, `y`
@@ -121,18 +114,51 @@ object Evl {
       nWindows: Int,
       pointsPerClass: Int,
       seed: Long = 23,
+  ): DataFrame = windows(spark, name, Seq(window), nWindows, pointsPerClass, seed).drop("window")
+
+  /** The windows `ws` of one stream as one frame, ordered by window, class,
+    * mode and draw, in a single partition.
+    *
+    * The rows are a function of the arguments alone, never of the master's
+    * core count or `spark.sql.leafNodeDefaultParallelism`: the plan's one
+    * leaf is a single-slice range over the modes, whose one task draws every
+    * mode from its own seeded [[StandardNormalGenerator]], the stream
+    * Spark's `randn(s)` draws on partition 0. Mode `mi` of class `ci` in
+    * window `w` draws x with seed `seed + 1000·w + 10·ci + 2·mi` and y with
+    * that seed + 1, so no two noise columns of a window share a seed (that
+    * holds up to 5 modes per class; every stream has at most 2).
+    *
+    * @param pointsPerClass tuples per class (split across a class's modes)
+    * @return DataFrame with columns `cls` (string), `x`, `y`, `window` (int)
+    */
+  def windows(
+      spark: SparkSession,
+      name: String,
+      ws: Seq[Int],
+      nWindows: Int,
+      pointsPerClass: Int,
+      seed: Long = 23,
   ): DataFrame = {
-    val tau = tauOf(window, nWindows)
-    val parts = centers(name, tau).zipWithIndex.flatMap { case ((cls, modes), ci) =>
-      val perMode = math.max(1, pointsPerClass / modes.size)
-      modes.zipWithIndex.map { case ((cx, cy), mi) =>
-        val s = seed + window * 1000 + ci * 10 + 2 * mi
-        spark.range(0, perMode, 1, 1).select(
-          lit(cls).as("cls"),
-          (lit(cx) + randn(s) * Sigma).as("x"),
-          (lit(cy) + randn(s + 1) * Sigma).as("y"))
-      }
+    val modes = for {
+      w <- ws.toVector
+      ((cls, centres), ci) <- centers(name, tauOf(w, nWindows)).zipWithIndex
+      ((cx, cy), mi) <- centres.zipWithIndex
+    } yield Mode(w, cls, cx, cy, seed + w * 1000 + ci * 10 + 2 * mi, math.max(1, pointsPerClass / centres.size))
+    spark.range(0, modes.length, 1, 1).flatMap(i => modes(i.toInt).draw)(Encoders.row(Schema))
+  }
+
+  private val Schema = StructType(Seq(
+    StructField("cls", StringType, nullable = false),
+    StructField("x", DoubleType, nullable = false),
+    StructField("y", DoubleType, nullable = false),
+    StructField("window", IntegerType, nullable = false)))
+
+  /** One Gaussian mode of one window: `n` rows around (`cx`, `cy`). */
+  private final case class Mode(window: Int, cls: String, cx: Double, cy: Double, seed: Long, n: Int) {
+    def draw: Iterator[Row] = {
+      val gx = new StandardNormalGenerator; gx.setSeed(seed)
+      val gy = new StandardNormalGenerator; gy.setSeed(seed + 1)
+      Iterator.fill(n)(Row(cls, cx + gx.nextValue() * Sigma, cy + gy.nextValue() * Sigma, window))
     }
-    parts.reduce(_ unionAll _)
   }
 }

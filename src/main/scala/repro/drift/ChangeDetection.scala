@@ -49,7 +49,8 @@ object ChangeDetection {
     def withScores(df: DataFrame): DataFrame = scores(df, cols, z, components)
 
     /** Bin counts over the scores [[withScores]] appends, as aggregate
-      * columns, component-major; a row with a null or NaN attribute is in none.
+      * columns, component-major; a row with a null, NaN or ±∞ attribute is
+      * in none.
       */
     def binCounts: Seq[Column] = ChangeDetection.binCounts(lo, hi, bins)
 
@@ -67,19 +68,16 @@ object ChangeDetection {
     }
   }
 
-  /** Fit on the reference window `df` and the moments of its attributes.
-    *
-    * @param varianceFraction retain top components until cumulative explained
-    *                         variance reaches this fraction (CD keeps the
-    *                         high-variance subspace)
-    * @param bins             histogram resolution per component
+  /** Retain top components until their cumulative explained variance
+    * reaches this fraction (CD keeps the high-variance subspace).
     */
-  def fit(
-      df: DataFrame,
-      mom: Moments,
-      varianceFraction: Double = 0.99,
-      bins: Int = 30,
-  ): Model = {
+  private val VarianceFraction = 0.99
+
+  /** Histogram resolution per component. */
+  private val Bins = 30
+
+  /** Fit on the reference window `df` and the moments of its attributes. */
+  def fit(df: DataFrame, mom: Moments): Model = {
     require(mom.n > 0, "ChangeDetection.fit: empty reference window")
     val numericCols = mom.cols
     val m = numericCols.length
@@ -89,7 +87,7 @@ object ChangeDetection {
     // Descending order: take from the top until the fraction is covered.
     val desc = (m - 1) to 0 by -1
     val before = desc.map(k => math.max(eig.values(k), 0.0) / total).scanLeft(0.0)(_ + _)
-    val idx = desc.zip(before).takeWhile(_._2 < varianceFraction).map(_._1)
+    val idx = desc.zip(before).takeWhile(_._2 < VarianceFraction).map(_._1)
     val comps = idx.map(eig.vector).toArray
 
     // Component score range on the reference window, widened by 50% per side
@@ -105,8 +103,8 @@ object ChangeDetection {
       val w = math.max(b - a, 1e-9)
       lo(i) = a - 0.5 * w; hi(i) = b + 0.5 * w
     }
-    val refHist = histograms(aggregate(scored, binCounts(lo, hi, bins)).get, bins)
-    Model(numericCols, z, comps, lo, hi, refHist, bins)
+    val refHist = histograms(aggregate(scored, binCounts(lo, hi, Bins)).get, Bins)
+    Model(numericCols, z, comps, lo, hi, refHist, Bins)
   }
 
   /** Divergence of `df` from the reference window under `metric`; 0 for an empty `df`. */

@@ -45,7 +45,7 @@ object PcaSpll {
       components.indices.foldLeft(0.0) { (s, k) => val p = Mat.dot(components(k), zx); s + p * p / variances(k) }
     }
 
-    /** Each row's [[scoreAt]]: null on a row with a null or NaN attribute. */
+    /** Each row's [[scoreAt]]: null on a row with a null, NaN or ±∞ attribute. */
     def statistic: Column = ScoreExpr.column(this)
   }
 
@@ -74,7 +74,7 @@ object PcaSpll {
   }
 
   /** SPLL change statistic of `df` w.r.t. the reference model: the mean
-    * [[Model.statistic]] over the rows with no null or NaN attribute.
+    * [[Model.statistic]] over the rows with no null, NaN or ±∞ attribute.
     */
   def drift(df: DataFrame, model: Model): Double = {
     val row = df.agg(avg(model.statistic)).head()

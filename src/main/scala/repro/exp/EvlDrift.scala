@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.{avg, lit}
+import org.apache.spark.sql.functions.avg
 import repro.core.{Disynth, ScoreExpr}
 import repro.data.Evl
 import repro.drift.{ChangeDetection, PcaSpll}
@@ -40,9 +40,7 @@ object EvlDrift {
     val spll = PcaSpll.fit(scan.global)
     val cd = ChangeDetection.fit(w1, scan.global)
 
-    val windows = (1 to nWindows)
-      .map(w => Evl.window(spark, name, w, nWindows, pointsPerClass, seed + 7777).withColumn("window", lit(w)))
-      .reduce(_ unionAll _)
+    val windows = Evl.windows(spark, name, 1 to nWindows, nWindows, pointsPerClass, seed + 7777)
     val cdBins = cd.binCounts
     val rows = cd.withScores(windows).groupBy("window")
       .agg(avg(ScoreExpr.column(dis)), avg(spll.statistic) +: cdBins: _*)

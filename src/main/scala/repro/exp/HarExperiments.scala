@@ -36,24 +36,45 @@ object HarExperiments {
             val inv = Disynth.fit(trainX, Har.FeatureCols, Seq("activity"))
             val clf = LogisticRegression.fit(trainX, Har.FeatureCols, "person")
             val baseAcc = clf.accuracy(holdSed, "person")
-
-            val nSed = holdSed.count().toDouble
-            val nMob = mobile.count().toDouble
-            val testSize = math.min(nSed, nMob)
-
-            val points = fractions.map { f =>
-              val sedRate = math.min(1.0, (1 - f) * testSize / nSed)
-              val mobRate = math.min(1.0, f * testSize / nMob)
-              val test =
-                holdSed.sample(withReplacement = false, sedRate, seed + (f * 100).toLong)
-                  .unionAll(mobile.sample(withReplacement = false, mobRate, seed + 1 + (f * 100).toLong))
-              MixPoint(f, Disynth.avgViolation(test, inv), baseAcc - clf.accuracy(test, "person"))
-            }
-            val pcc = Stats.pearson(points.map(_.avgViolation), points.map(_.accuracyDrop))
-            MixResult(points, pcc)
+            val points = mixPoints(mixTests(holdSed, mobile, fractions, seed), fractions, inv, clf, baseAcc)
+            MixResult(points, Stats.pearson(points.map(_.avgViolation), points.map(_.accuracyDrop)))
           }
         }
       }
+    }
+  }
+
+  /** Each fraction's test set: held-out sedentary rows and mobile rows
+    * sampled so the mobile share is the fraction, at the size of the
+    * smaller pool.
+    */
+  private[exp] def mixTests(holdSed: DataFrame, mobile: DataFrame, fractions: Seq[Double], seed: Long): Seq[DataFrame] = {
+    val nSed = holdSed.count().toDouble
+    val nMob = mobile.count().toDouble
+    val testSize = math.min(nSed, nMob)
+    fractions.map { f =>
+      val sedRate = math.min(1.0, (1 - f) * testSize / nSed)
+      val mobRate = math.min(1.0, f * testSize / nMob)
+      holdSed.sample(withReplacement = false, sedRate, seed + (f * 100).toLong)
+        .unionAll(mobile.sample(withReplacement = false, mobRate, seed + 1 + (f * 100).toLong))
+    }
+  }
+
+  /** The Fig. 5(a) point of each fraction's test set in `tests`, from one
+    * job grouped by fraction: the mean violation under `inv` and `baseAcc`
+    * less the hit rate of `clf`. A group sums the rows a query of its test
+    * set alone sums, in the same order, so each value has that query's bits.
+    */
+  private[exp] def mixPoints(tests: Seq[DataFrame], fractions: Seq[Double], inv: ConformanceModel,
+                             clf: LogisticRegression.Model, baseAcc: Double): Seq[MixPoint] = {
+    val byFraction = tests.zipWithIndex.map { case (t, i) => t.withColumn("__f", lit(i)) }.reduce(_ unionAll _)
+      .groupBy("__f").agg(avg(ScoreExpr.column(inv)), avg(clf.hit("person")))
+      .collect().map(r => r.getInt(0) -> (r.getDouble(1), r.getDouble(2))).toMap
+    fractions.indices.map { i =>
+      // A test set with no rows has no group: violation 0 and accuracy NaN, as
+      // `Disynth.avgViolation` and `accuracy` read it.
+      val (violation, accuracy) = byFraction.getOrElse(i, (0.0, Double.NaN))
+      MixPoint(fractions(i), violation, baseAcc - accuracy)
     }
   }
 

@@ -26,7 +26,7 @@ object LinearRegression {
     def scoreAt(idx: Array[Int], x: Array[Double]): Double = predict(x)
 
     /** Append column `outCol` with each row's [[predict]]; a row with a
-      * null or NaN feature gets a null prediction.
+      * null, NaN or ±∞ feature gets a null prediction.
       */
     def transform(df: DataFrame, outCol: String = "prediction"): DataFrame =
       df.withColumn(outCol, ScoreExpr.column(this))

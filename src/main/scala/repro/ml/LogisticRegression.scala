@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.{ScoreExpr, TupleScore}
 import repro.stats.{Moments, Standardizer}
@@ -58,37 +58,39 @@ object LogisticRegression {
       if (k.isNaN) null else labels(k.toInt)
     }
 
-    /** Append `outCol` with each row's [[predict]] label; a row with a null
-      * or NaN feature gets a null label.
+    /** Each row's [[predict]] label; null for a row with a null, NaN or ±∞
+      * feature.
       */
-    def transform(df: DataFrame, outCol: String = "predicted"): DataFrame =
-      df.withColumn(outCol, typedLit(labels).getItem(ScoreExpr.column(this).cast("int")))
+    def prediction: Column = typedLit(labels).getItem(ScoreExpr.column(this).cast("int"))
 
-    /** Fraction of rows of `df` whose prediction matches `labelCol` (none is a miss); NaN if none. */
+    /** Append `outCol` with each row's [[prediction]]. */
+    def transform(df: DataFrame, outCol: String = "predicted"): DataFrame = df.withColumn(outCol, prediction)
+
+    /** 1.0 where a row's prediction matches `labelCol`, else 0.0 (no prediction is a miss). */
+    def hit(labelCol: String): Column = when(prediction === col(labelCol).cast("string"), 1.0).otherwise(0.0)
+
+    /** Fraction of rows of `df` whose prediction matches `labelCol`; NaN if none. */
     def accuracy(df: DataFrame, labelCol: String): Double = {
-      val row = transform(df, "__pred")
-        .agg(avg(when(col("__pred") === col(labelCol).cast("string"), 1.0).otherwise(0.0)))
-        .head()
+      val row = df.agg(avg(hit(labelCol))).head()
       if (row.isNullAt(0)) Double.NaN else row.getDouble(0)
     }
   }
 
-  /** Train with full-batch gradient descent.
+  /** Learning rate on the mean gradient. */
+  private val LearningRate = 0.5
+
+  /** L2 regularization on non-bias weights. */
+  private val L2 = 1e-4
+
+  /** Train with full-batch gradient descent on the rows with a label and
+    * finite features; a row with a null, NaN or ±∞ feature is dropped.
     *
-    * @param iters    gradient steps (full batch each)
-    * @param lr       learning rate on the mean gradient
-    * @param l2       L2 regularization on non-bias weights
+    * @param iters gradient steps (full batch each)
     */
-  def fit(
-      df: DataFrame,
-      features: Seq[String],
-      labelCol: String,
-      iters: Int = 150,
-      lr: Double = 0.5,
-      l2: Double = 1e-4,
-  ): Model = {
+  def fit(df: DataFrame, features: Seq[String], labelCol: String, iters: Int = 150): Model = {
     require(features.nonEmpty, "LogisticRegression.fit: no features")
     val complete = df.na.drop(labelCol +: features)
+      .filter(features.map(f => abs(col(f).cast("double")) =!= Double.PositiveInfinity).reduce(_ && _))
     val z = Moments.of(complete, features).standardizer
 
     val rows = complete.select(col(labelCol).cast("string") +: features.map(col(_).cast("double")): _*).collect()
@@ -138,8 +140,8 @@ object LogisticRegression {
       while (k < nK) {
         var i = 0
         while (i <= m) {
-          val reg = if (i == 0) 0.0 else l2 * w(k)(i)
-          w(k)(i) -= lr * (grad(k)(i) / n + reg)
+          val reg = if (i == 0) 0.0 else L2 * w(k)(i)
+          w(k)(i) -= LearningRate * (grad(k)(i) / n + reg)
           i += 1
         }
         k += 1

@@ -224,6 +224,42 @@ class ViolationExprSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }
   }
 
+  test("±∞ inputs score exactly like NaN on every path, under every model") {
+    val rnd = new Random(36)
+    val df = labelled(rnd, 300, 0.0)
+    val cols = Seq("x", "y", "v")
+    val lin = LinearRegression.fit(df, Seq("x", "y"), "v")
+    val models: Seq[(String, TupleScore)] = Seq(
+      "DISYNTH" -> Disynth.fit(df, cols, Seq("label")),
+      "PCA-SPLL" -> PcaSpll.fit(Moments.of(df, cols), varianceFraction = 1.5),
+      "linear" -> lin,
+      "softmax" -> LogisticRegression.fit(df, cols, "label", iters = 20))
+    // Every other row takes a non-finite value in one attribute, in turn.
+    val base = labelled(rnd, 120, 1.0).collect().toSeq
+    val schema = StructType(StructField("label", StringType) +: cols.map(StructField(_, DoubleType)))
+    def withValue(v: Int => Double): DataFrame = frame(base.zipWithIndex.map { case (r, i) =>
+      val x = Array.tabulate(3)(j => r.getDouble(1 + j))
+      if (i % 2 == 0) x(i / 2 % 3) = v(i)
+      Row(r.getString(0) +: x.toSeq: _*)
+    }, schema)
+    val inf = withValue(i => if (i % 4 == 0) Double.PositiveInfinity else Double.NegativeInfinity)
+    val nan = withValue(_ => Double.NaN)
+    // Per model, each row's score as raw bits, or None where it is null.
+    def scores(test: DataFrame): Seq[Seq[Option[Long]]] = {
+      val rows = test.select(models.map { case (_, m) => ScoreExpr.column(m) }: _*).collect().toSeq
+      models.indices.map(k => rows.map(r => Option.unless(r.isNullAt(k))(java.lang.Double.doubleToRawLongBits(r.getDouble(k)))))
+    }
+    paths.foreach { case (path, settings) =>
+      withConf(settings) {
+        val (fromInf, fromNan) = (scores(inf), scores(nan))
+        models.indices.foreach(k => assert(fromInf(k) == fromNan(k), s"$path, ${models(k)._1}"))
+        // A linear prediction from an infinite feature would be infinite; it is missing.
+        val missing = fromInf(models.indexWhere(_._2 == lin)).map(_.isEmpty)
+        assert(missing == base.indices.map(i => i % 2 == 0 && i / 2 % 3 < 2), path)
+      }
+    }
+  }
+
   test("two softmax models of the same shape generate the same Java, which Spark compiles once") {
     val rnd = new Random(35)
     val test = labelled(rnd, 120, 0.0)

@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
@@ -194,6 +196,64 @@ class GeneratorsSpec extends SparkSpec {
         assert(bits(name) == one, name)
       }
     } finally prev.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+  }
+
+  /** The construction `Evl.window` replaced: a union of one single-slice
+    * range per mode, each mode's noise from `randn` with its own seed. Its
+    * seeds and centres are literals, so every mode is a plan of its own;
+    * [[interpreted]] evaluates them without compiling each.
+    */
+  private def referenceWindow(name: String, w: Int, nWindows: Int, pointsPerClass: Int, seed: Long): DataFrame = {
+    val tau = if (nWindows <= 1) 0.0 else (w - 1).toDouble / (nWindows - 1)
+    Evl.centers(name, tau).zipWithIndex.flatMap { case ((cls, modes), ci) =>
+      val perMode = math.max(1, pointsPerClass / modes.size)
+      modes.zipWithIndex.map { case ((cx, cy), mi) =>
+        val s = seed + w * 1000 + ci * 10 + 2 * mi
+        spark.range(0, perMode, 1, 1).select(
+          lit(cls).as("cls"),
+          (lit(cx) + randn(s) * Evl.Sigma).as("x"),
+          (lit(cy) + randn(s + 1) * Evl.Sigma).as("y"))
+      }
+    }.reduce(_ unionAll _)
+  }
+
+  /** `body` with Spark's code generation off. */
+  private def interpreted[T](body: => T): T = {
+    val settings = Seq("spark.sql.codegen.wholeStage" -> "false", "spark.sql.codegen.factoryMode" -> "NO_CODEGEN")
+    val saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally saved.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
+  }
+
+  /** Every row's values, doubles as raw bits. */
+  private def rawBits(df: DataFrame): Seq[Seq[Any]] = df.collect().toSeq.map(_.toSeq.map {
+    case d: Double => java.lang.Double.doubleToRawLongBits(d)
+    case v => v
+  })
+
+  test("evl: windows equal the per-mode randn construction bit for bit") {
+    // Every stream's first, a middle and its last window: the reference in
+    // one collect, each stream's windows in one collect of `windows`, whose
+    // windows are `window`'s (next test).
+    val ws = Seq(1, 5, 10)
+    for (seed <- Seq(23L, 23L + 7777)) {
+      val ref = (for (name <- Evl.Datasets; w <- ws) yield referenceWindow(name, w, 10, 60, seed)).reduce(_ unionAll _)
+      val got = Evl.Datasets.map(Evl.windows(spark, _, ws, 10, 60, seed).drop("window"))
+      got.foreach(g => assert(g.schema == ref.schema))
+      assert(got.flatMap(rawBits) == interpreted(rawBits(ref)), s"seed $seed")
+    }
+  }
+
+  test("evl: the windows of a stream are its windows one by one, each with its window column") {
+    Evl.Datasets.foreach { name =>
+      val ws = Seq(2, 7, 3)
+      val one = ws.map(w => Evl.window(spark, name, w, 8, 50, seed = 5).withColumn("window", lit(w))).reduce(_ unionAll _)
+      val all = Evl.windows(spark, name, ws, 8, 50, seed = 5)
+      assert(all.columns.toSeq == Seq("cls", "x", "y", "window"), name)
+      assert(rawBits(all) == rawBits(one), name)
+      assert(all.queryExecution.executedPlan.outputPartitioning == SinglePartition, name)
+    }
   }
 
   test("evl: a class's modes draw independent noise (FG-2C-2D)") {

@@ -123,11 +123,12 @@ class DriftBaselinesSpec extends SparkSpec {
     }.toDF("x", "y", "v")
   }
 
-  // A frame with one null row and one NaN row after the clean rows; the
-  // clean rows keep their partitions, so every sum meets them in the same
-  // order.
+  // A frame with a null row, a NaN row, a +∞ row and a −∞ row after the
+  // clean rows; the clean rows keep their partitions, so every sum meets
+  // them in the same order.
   private def withDirtyRows(df: DataFrame): DataFrame =
-    df.union(Seq[(Option[Double], Double, Double)]((None, 1.0, 0.0), (Some(Double.NaN), 2.0, 0.0)).toDF("x", "y", "v"))
+    df.union(Seq[(Option[Double], Double, Double)]((None, 1.0, 0.0), (Some(Double.NaN), 2.0, 0.0),
+      (Some(Double.PositiveInfinity), 3.0, 0.0), (Some(Double.NegativeInfinity), 4.0, 0.0)).toDF("x", "y", "v"))
 
   test("PCA-SPLL columns equal a plain-Scala reference bit for bit") {
     val model = PcaSpll.fit(Moments.of(skewed, xyv), varianceFraction = 1.5)
@@ -177,16 +178,22 @@ class DriftBaselinesSpec extends SparkSpec {
     flat.indices.foreach(i => assert(bits(counts.getDouble(i)) == bits(flat(i)), s"bin count $i"))
   }
 
-  test("a null row and a NaN row leave PCA-SPLL and CD drift bit-identical") {
+  /** Every double of a CD model, as raw bits. */
+  private def cdBits(m: ChangeDetection.Model): Seq[Long] =
+    (Seq(m.z.means, m.z.stds, m.lo, m.hi) ++ m.components ++ m.refHist).flatMap(_.map(bits))
+
+  test("null, NaN and infinite rows leave PCA-SPLL and CD bit-identical") {
     val spll = PcaSpll.fit(Moments.of(skewed, xyv))
     val cd = ChangeDetection.fit(skewed, Moments.of(skewed, xyv))
     val window = skewed.select((col("x") + 20).as("x"), col("y"), col("v"))
     val dirty = withDirtyRows(window)
-    assert(dirty.count() == window.count() + 2)
+    assert(dirty.count() == window.count() + 4)
     assert(bits(PcaSpll.drift(dirty, spll)) == bits(PcaSpll.drift(window, spll)))
     Seq(ChangeDetection.MKL, ChangeDetection.Area).foreach { metric =>
       assert(bits(ChangeDetection.drift(dirty, cd, metric)) == bits(ChangeDetection.drift(window, cd, metric)), s"$metric")
     }
+    val dirtyRef = withDirtyRows(skewed)
+    assert(cdBits(ChangeDetection.fit(dirtyRef, Moments.of(dirtyRef, xyv))) == cdBits(cd))
   }
 
   test("CD drift of an empty window is 0, as PCA-SPLL's is") {

@@ -1,12 +1,17 @@
 package repro.exp
 
+import scala.collection.mutable
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{JobCounts, SparkSpec}
 
 /** Small-scale integration run of the Figure 8 experiment on three
   * representative streams: one global translation (1CDT), one pure local
   * rotation (4CR), one label-rotation (FG-2C-2D).
   */
-class EvlDriftSpec extends SparkSpec with JobCounts {
+class EvlDriftSpec extends SparkSpec with JobCounts with AdaptiveSparkPlanHelper {
 
   private lazy val results = EvlDrift.run(spark,
     datasets = Seq("1CDT", "4CR", "FG-2C-2D"), nWindows = 8, pointsPerClass = 200)
@@ -71,5 +76,26 @@ class EvlDriftSpec extends SparkSpec with JobCounts {
     // grouped aggregate. Each is one job of one stage.
     assert(counts == (4, 4))
     assert(rerun.head == byName("1CDT"))
+  }
+
+  test("every plan a stream runs has one leaf and no Union") {
+    val plans = mutable.Buffer.empty[SparkPlan]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.synchronized(plans += qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    ListenerBusAccess.drain(spark.sparkContext)
+    spark.listenerManager.register(listener)
+    try {
+      EvlDrift.run(spark, datasets = Seq("1CDT"), nWindows = 8, pointsPerClass = 200)
+      ListenerBusAccess.drain(spark.sparkContext)
+    } finally spark.listenerManager.unregister(listener)
+    // The moments scan, CD's two aggregates and the grouped score.
+    assert(plans.length == 4)
+    plans.foreach { p =>
+      assert(collectLeaves(p).map(_.nodeName) == Seq("Range"), p)
+      assert(collect(p) { case u: UnionExec => u }.isEmpty, p)
+    }
   }
 }

@@ -6,6 +6,7 @@ import repro.{JobCounts, SparkSpec}
 import repro.core.{Disynth, Reference}
 import repro.data.Har
 import repro.linalg.Mat
+import repro.ml.LogisticRegression
 
 /** Small-scale integration runs of the Figure 5/6/7 experiments. */
 class HarExperimentsSpec extends SparkSpec with JobCounts {
@@ -44,11 +45,36 @@ class HarExperimentsSpec extends SparkSpec with JobCounts {
     try { all.count(); body(all) } finally all.unpersist()
   }
 
+  test("mixCurve (Fig 5a) scores every fraction in one grouped job, bit for bit the per-fraction loop") {
+    withFixedHar { all =>
+      val sedentary = all.filter(col("activity").isin(Har.Sedentary: _*))
+      val mobile = all.filter(col("activity").isin(Har.Mobile: _*))
+      val (train, hold) = (Har.trainHalf(sedentary), Har.holdHalf(sedentary))
+      val inv = Disynth.fit(train, Har.FeatureCols, Seq("activity"))
+      val clf = LogisticRegression.fit(train, Har.FeatureCols, "person")
+      val baseAcc = clf.accuracy(hold, "person")
+      val fractions = Seq(0.0, 0.5, 1.0)
+      val tests = HarExperiments.mixTests(hold, mobile, fractions, 7)
+      var points: Seq[HarExperiments.MixPoint] = Nil
+      // One grouped aggregate, a map-stage job and a result job, at any
+      // number of fractions.
+      assert(jobsAndStages { points = HarExperiments.mixPoints(tests, fractions, inv, clf, baseAcc) } == (2, 2))
+      // The reference: each fraction's test set scored on its own.
+      val want = fractions.zip(tests).map { case (f, t) =>
+        HarExperiments.MixPoint(f, Disynth.avgViolation(t, inv), baseAcc - clf.accuracy(t, "person"))
+      }
+      def bits(p: HarExperiments.MixPoint): Seq[Long] =
+        Seq(p.mobileFraction, p.avgViolation, p.accuracyDrop).map(java.lang.Double.doubleToRawLongBits)
+      assert(points.map(bits) == want.map(bits))
+    }
+  }
+
   test("gradualDrift (Fig 5b) scores every K in one grouped job") {
     withFixedHar { all =>
       val dis = Disynth.fit(Har.trainHalf(all), Har.FeatureCols, Seq("person"))
       var pts: Seq[HarExperiments.DriftPoint] = Nil
-      // One grouped aggregate: a map-stage job and a result job.
+      // One grouped aggregate, a map-stage job and a result job, at any
+      // number of fractions.
       assert(jobsAndStages { pts = HarExperiments.driftCurve(Har.holdHalf(all), dis, dis.copy(disjunctive = Nil)) } == (2, 2))
       assert(pts.map(_.k) == (0 to Har.Persons.length))
     }

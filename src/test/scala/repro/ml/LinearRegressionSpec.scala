@@ -69,6 +69,17 @@ class LinearRegressionSpec extends SparkSpec {
     assert(m.mae(withNull, "y") == m.mae(df, "y"))
   }
 
+  test("mae skips a row with an infinite feature, bit for bit") {
+    val rnd = new scala.util.Random(5)
+    val df = (1 to 400).map { _ =>
+      val a = rnd.nextGaussian() * 10; val b = rnd.nextDouble()
+      (a, b, 2 * a - 3 * b + rnd.nextGaussian())
+    }.toDF("a", "b", "y")
+    val m = LinearRegression.fit(df, Seq("a", "b"), "y")
+    val dirty = df.union(Seq((Double.PositiveInfinity, 0.5, 1.0), (Double.NegativeInfinity, 0.5, 1.0)).toDF("a", "b", "y"))
+    assert(java.lang.Double.doubleToRawLongBits(m.mae(dirty, "y")) == java.lang.Double.doubleToRawLongBits(m.mae(df, "y")))
+  }
+
   test("mae of an empty frame is NaN") {
     val df = Seq((1.0, 10.0), (2.0, 14.0)).toDF("x", "y")
     assert(LinearRegression.Model(Seq("x"), 6.0, Array(4.0)).mae(df.limit(0), "y").isNaN)

@@ -82,6 +82,16 @@ class LogisticRegressionSpec extends SparkSpec {
     clean.weights.indices.foreach(k => assert(java.util.Arrays.equals(dirty.weights(k), clean.weights(k)), s"class $k"))
   }
 
+  test("fit drops a row with an infinite feature, bit for bit") {
+    val df = blobs(200, Seq(("a", 0.0, 0.0), ("b", 3.0, 3.0)), 1.0, 12)
+    val dirty = df.union(Seq(("a", Double.PositiveInfinity, 0.0), ("b", 1.0, Double.NegativeInfinity)).toDF("label", "x", "y"))
+    val clean = LogisticRegression.fit(df, Seq("x", "y"), "label")
+    val fit = LogisticRegression.fit(dirty, Seq("x", "y"), "label")
+    assert(java.util.Arrays.equals(fit.z.means, clean.z.means) && java.util.Arrays.equals(fit.z.stds, clean.z.stds))
+    clean.weights.indices.foreach(k => assert(java.util.Arrays.equals(fit.weights(k), clean.weights(k)), s"class $k"))
+    assert(fit.accuracy(df, "label") > 0.9)
+  }
+
   test("accuracy on garbage data is near chance, not near one") {
     // Features carry no signal: accuracy ≈ 1/2 for two balanced classes.
     val rnd = new scala.util.Random(6)
