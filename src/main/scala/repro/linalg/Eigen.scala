@@ -44,7 +44,13 @@ object Eigen {
 
     val m = a.copy()
     val v = Mat.eye(n)
-    val fro = math.sqrt(m.data.map(x => x * x).sum).max(1e-300)
+    val sumSq = m.data.map(x => x * x).sum
+    val fro =
+      if (!sumSq.isInfinite) math.sqrt(sumSq).max(1e-300)
+      else { // entries ≳ 1.3e154: scale by the largest so the squares stay finite
+        val s = m.data.map(math.abs).max
+        s * math.sqrt(m.data.map { x => val y = x / s; y * y }.sum)
+      }
     var sweep = 0
     while (sweep < MaxSweeps && m.maxOffDiagAbs > Tol * fro) {
       var p = 0

@@ -1,7 +1,7 @@
 package repro.linalg
 
-/** Minimal dense, row-major, square-friendly matrix used by the eigen and
-  * normal-equation substrates.
+/** Minimal dense, row-major, square-friendly matrix: the [[repro.stats.Moments]]
+  * Gram and the eigen substrate's input and eigenvectors.
   *
   * The reproduction needs only small driver-side matrices — (m+1)×(m+1)
   * Grams with m ≈ 40 attributes — so this favours clarity over BLAS-level

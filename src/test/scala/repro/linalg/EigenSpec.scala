@@ -130,4 +130,13 @@ class EigenSpec extends AnyFunSuite with PropCheck {
       assert(math.abs(big / 1e12 - small) < 1e-6)
     }
   }
+
+  test("entries whose squares overflow still rotate: [[2,1],[1,2]]·s up to s = 1e300") {
+    for (s <- Seq(1.0, 1e150, 1e160, 1e300)) {
+      val e = Eigen.symmetric(Mat(2, 2, Array(2.0, 1.0, 1.0, 2.0).map(_ * s)))
+      assert(math.abs(e.values(0) / s - 1.0) < 1e-12 && math.abs(e.values(1) / s - 3.0) < 1e-12, s"s = $s")
+      val v = e.vector(0)
+      assert(math.abs(math.abs(v(0)) - 1 / math.sqrt(2)) < 1e-12 && math.abs(v(0) + v(1)) < 1e-12, s"s = $s")
+    }
+  }
 }

@@ -1,9 +1,12 @@
 package repro.ml
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import org.apache.spark.sql.Row
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, PropCheck, SparkSpec}
 
-class LinearRegressionSpec extends SparkSpec {
+class LinearRegressionSpec extends SparkSpec with PropCheck {
 
   import spark.implicits._
 
@@ -117,5 +120,59 @@ class LinearRegressionSpec extends SparkSpec {
     assert(math.abs(m.intercept) < 1e-10)
     assert(math.abs(m.weights(0) - 1.0) < 1e-10)
     assert(math.abs(m.weights(1) - 1.0) < 1e-10)
+  }
+
+  test("fitted β solves the ridged normal equations on random 2–6-feature designs at mixed scales") {
+    // Each column has its own scale in 1e-3..1e3. The equations are formed on
+    // the driver from the collected rows. Cholesky is backward stable and
+    // diagonal-scale invariant, and by Cauchy–Schwarz |Σ xᵢxⱼ| ≤ √(AᵢᵢAⱼⱼ),
+    // so row i of the residual, summation-order round-off included, is
+    // bounded by a small multiple of the unit round-off times
+    // Σⱼ √(AᵢᵢAⱼⱼ)|βⱼ| + √(Aᵢᵢ·Σy²).
+    val design = for {
+      k <- Gen.choose(2, 6)
+      scales <- Gen.listOfN(k, Gen.choose(-3.0, 3.0).map(math.pow(10, _)))
+      seed <- Gen.choose(0L, 1L << 40)
+    } yield (scales, seed)
+    checkProp(Prop.forAll(design) { case (scales, seed) =>
+      val k = scales.length
+      val rnd = new scala.util.Random(seed)
+      val rows = Seq.fill(60) {
+        val x = scales.map(s => s * (rnd.nextGaussian() + 0.5))
+        Row.fromSeq(x :+ (x.zipWithIndex.map { case (v, j) => v * (j - 2.5) / scales(j) }.sum + rnd.nextGaussian()))
+      }
+      val names = (0 until k).map(j => s"x$j")
+      val schema = StructType((names :+ "y").map(StructField(_, DoubleType)))
+      val m = LinearRegression.fit(spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema), names, "y")
+      val xs = rows.map(r => 1.0 +: (0 until k).map(r.getDouble))
+      val ys = rows.map(_.getDouble(k))
+      val a = Array.tabulate(k + 1, k + 1)((i, j) => xs.map(x => x(i) * x(j)).sum)
+      val b = Array.tabulate(k + 1)(i => xs.zip(ys).map { case (x, y) => x(i) * y }.sum)
+      val yy = ys.map(y => y * y).sum
+      val lambda = 1e-10 * math.max((0 to k).map(i => a(i)(i)).sum / (k + 1), 1.0)
+      val beta = m.intercept +: m.weights.toSeq
+      (0 to k).forall { i =>
+        val r = (0 to k).map(j => a(i)(j) * beta(j)).sum + lambda * beta(i) - b(i)
+        val scale = (0 to k).map(j => math.sqrt(a(i)(i) * a(j)(j)) * math.abs(beta(j))).sum + math.sqrt(a(i)(i) * yy)
+        math.abs(r) <= 1e-12 * scale
+      }
+    }, minSuccess = 12)
+  }
+
+  test("duplicate columns: rejected without ridge, their weight split evenly with it") {
+    val rnd = new scala.util.Random(6)
+    val df = (1 to 200).map { _ =>
+      val a = rnd.nextDouble() * 10
+      (a, a, 3 * a + rnd.nextGaussian())
+    }.toDF("a", "b", "y")
+    intercept[IllegalArgumentException](LinearRegression.fit(df, Seq("a", "b"), "y", ridge = 0.0))
+    val m = LinearRegression.fit(df, Seq("a", "b"), "y")
+    assert(math.abs(m.weights(0) - m.weights(1)) < 1e-3)
+  }
+
+  test("a frame with no complete row is rejected, not fitted to the zero model") {
+    val df = Seq((Option(1.0), 2.0), (None, 3.0), (Some(Double.NaN), 4.0)).toDF("x", "y")
+    intercept[IllegalArgumentException](LinearRegression.fit(df.limit(0), Seq("x"), "y"))
+    intercept[IllegalArgumentException](LinearRegression.fit(df.filter(col("x").isNull || col("x").isNaN), Seq("x"), "y"))
   }
 }
