@@ -122,8 +122,8 @@ class LinearRegressionSpec extends SparkSpec with PropCheck {
     assert(math.abs(m.weights(1) - 1.0) < 1e-10)
   }
 
-  test("fitted β solves the ridged normal equations on random 2–6-feature designs at mixed scales") {
-    // Each column has its own scale in 1e-3..1e3. The equations are formed on
+  test("fitted beta solves the ridged normal equations (random designs)") {
+    // Designs have 2 to 6 features. Each column has its own scale in 1e-3..1e3. The equations are formed on
     // the driver from the collected rows. Cholesky is backward stable and
     // diagonal-scale invariant, and by Cauchy–Schwarz |Σ xᵢxⱼ| ≤ √(AᵢᵢAⱼⱼ),
     // so row i of the residual, summation-order round-off included, is
@@ -159,14 +159,20 @@ class LinearRegressionSpec extends SparkSpec with PropCheck {
     }, minSuccess = 12)
   }
 
-  test("duplicate columns: rejected without ridge, their weight split evenly with it") {
+  private def duplicateColumns = {
     val rnd = new scala.util.Random(6)
-    val df = (1 to 200).map { _ =>
+    (1 to 200).map { _ =>
       val a = rnd.nextDouble() * 10
       (a, a, 3 * a + rnd.nextGaussian())
     }.toDF("a", "b", "y")
-    intercept[IllegalArgumentException](LinearRegression.fit(df, Seq("a", "b"), "y", ridge = 0.0))
-    val m = LinearRegression.fit(df, Seq("a", "b"), "y")
+  }
+
+  test("duplicate columns without ridge are rejected") {
+    intercept[IllegalArgumentException](LinearRegression.fit(duplicateColumns, Seq("a", "b"), "y", ridge = 0.0))
+  }
+
+  test("duplicate columns under the default ridge get equal weights") {
+    val m = LinearRegression.fit(duplicateColumns, Seq("a", "b"), "y")
     assert(math.abs(m.weights(0) - m.weights(1)) < 1e-3)
   }
 
