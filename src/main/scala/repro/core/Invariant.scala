@@ -43,7 +43,10 @@ final case class BoundedProjection(
   * (a tuple with a NaN attribute cannot be shown to conform) makes its
   * conjunct score the maximal 1. An empty conjunction carries no evidence
   * of conformance and scores 1 (it only arises for partitions the
-  * synthesizer could not fit).
+  * synthesizer could not fit). The factory requires every γ and α to be
+  * ≥ 0, which a NaN fails, so no term is negative: ExTuNe's repair stops
+  * sums early on that ([[violationShifted]], [[project]] with a threshold),
+  * while [[violation]], the scoring path, always sums every term.
   *
   * @param k number of conjuncts K
   * @param m number of numeric attributes (0 when K = 0)
@@ -97,8 +100,7 @@ final class SimpleInvariant private (
     else {
       var s = 0.0; var c = 0
       while (c < k) {
-        var p = 0.0; var i = 0; val row = c * m
-        while (i < m) { p += w(row + i) * x(i); i += 1 }
+        val p = projection(c, x)
         if (f != null) f(c) = p
         s += term(c, p)
         c += 1
@@ -106,16 +108,47 @@ final class SimpleInvariant private (
       clamp(s)
     }
 
+  /** [[project]] for a caller that only asks whether the violation is above
+    * `above`: every F_k is still written into `f`, but terms stop being added
+    * once the partial sum exceeds `above`. For `above` < 1 the value is
+    * > `above` iff the full violation is: the terms are ≥ 0 (see
+    * [[violationShifted]]), so the full sum is at least the stopped one, and
+    * `clamp` keeps a sum above `above` < 1 above it. A sum that never exceeds
+    * `above` is the full violation.
+    */
+  def project(x: Array[Double], f: Array[Double], above: Double): Double =
+    if (k == 0) 1.0
+    else {
+      var s = 0.0; var c = 0
+      while (c < k) {
+        val p = projection(c, x)
+        f(c) = p
+        if (s <= above) s += term(c, p)
+        c += 1
+      }
+      clamp(s)
+    }
+
+  /** F_c(x), accumulated over the attributes in order. */
+  @inline private def projection(c: Int, x: Array[Double]): Double = {
+    var p = 0.0; var i = 0; val row = c * m
+    while (i < m) { p += w(row + i) * x(i); i += 1 }
+    p
+  }
+
   /** The violation after attribute `j` moves by `delta`, from the current
     * projections `f`: each F_k shifts by w_kj·delta, so this is O(K). Exact
     * up to rounding in the shift.
     *
     * Summing stops as soon as the partial sum reaches `cap`. This is exact
-    * for a caller that only asks whether the violation is strictly below a
-    * `cap` ≤ 1: every term γ_k·η(·) is ≥ 0 (the factory rejects a negative
-    * γ or α), rounded prefix sums of non-negative terms never decrease, and
-    * `clamp` is monotone, so the full violation would be ≥ `cap` too, and so
-    * is the value returned. With `cap = +∞` the result is the full violation.
+    * for a caller that only asks whether the violation is strictly below
+    * `cap`: every term γ_k·η(·) is ≥ 0 (the factory requires γ ≥ 0 and
+    * α ≥ 0, which a NaN fails), rounded prefix sums of non-negative terms
+    * never decrease, and `clamp` is monotone, so when the sum stops the full
+    * violation and the value returned are both ≥ min(`cap`, 1). For
+    * `cap` ≤ 1 neither is below `cap`; for `cap` > 1 the stopped sum is
+    * above 1, so both are exactly 1. With `cap = +∞` the result is the full
+    * violation.
     */
   def violationShifted(f: Array[Double], j: Int, delta: Double, cap: Double): Double =
     if (k == 0) 1.0
@@ -138,9 +171,9 @@ object SimpleInvariant {
       require(wc.length == m, s"SimpleInvariant: projection over ${wc.length} attributes, conjunct 0 over $m")
       System.arraycopy(wc, 0, w, c * m, m)
     }
-    // No negative γ or α keeps every conjunct term ≥ 0 (or NaN), which the
-    // early stop of violationShifted relies on; Algorithm 1 only makes such.
-    require(!cs.exists(bp => bp.gamma < 0 || bp.alpha < 0), "SimpleInvariant: negative γ or α")
+    // γ ≥ 0 and α ≥ 0 keep every conjunct term ≥ 0, which every early stop
+    // relies on; Algorithm 1 only makes such. Written so that a NaN fails.
+    require(cs.forall(bp => bp.gamma >= 0 && bp.alpha >= 0), "SimpleInvariant: γ or α negative or NaN")
     new SimpleInvariant(cs.length, m, w, cs.map(_.lb), cs.map(_.ub), cs.map(_.alpha), cs.map(_.gamma),
       cs.map(_.mean), cs.map(_.std))
   }

@@ -15,11 +15,13 @@ import repro.core.{ConformanceModel, ScoreExpr}
   * substituted before the tuple conforms; (3) responsibility(Aᵢ) = 1/(K+1).
   * Finding the minimum K is combinatorial, so we use the natural greedy
   * construction: repeatedly substitute the attribute that reduces the
-  * violation most. Trials that can no longer beat a round's best stop
-  * early when the tuple falls in one component, without changing any
-  * result. Responsibilities are averaged over a sample of the test set,
-  * fetched in one Spark job; the sampled tuples are repaired in parallel
-  * on the driver's cores and summed in sample order.
+  * violation most. Each round first tries the attribute that won it in the
+  * previous start, and when the tuple falls in one component, trials that
+  * can no longer beat the round's best and stopping tests that are already
+  * decided stop summing early; no result changes. Responsibilities are
+  * averaged over a sample of the test set, fetched in one Spark job; the
+  * sampled tuples are repaired in parallel on the driver's cores and summed
+  * in sample order.
   */
 object ExTuNe {
 
@@ -51,15 +53,26 @@ object ExTuNe {
     * every committed substitution, so rounding in the trials can only
     * matter between trials within rounding of each other. A round whose
     * tuple still holds a NaN or infinite value evaluates its trials from
-    * scratch, since such a value does not cancel out incrementally. Trials
-    * run in ascending attribute order and only a strictly lower violation
-    * replaces the best, so ties go to the lowest index.
+    * scratch, since such a value does not cancel out incrementally.
+    *
+    * A round's winner is the attribute of lowest violation, the lowest index
+    * among exact ties. The winners of a start's rounds mostly repeat in the
+    * next start, so round r first tries `hint(r)`, the attribute that won
+    * round r in the last start that reached it, if that attribute is not
+    * yet substituted; the other trials follow in ascending order. A trial j
+    * replaces the best (bestJ, bestV) iff it scores lower, or ties it with
+    * j < bestJ, so the winner does not depend on the order of the trials.
     *
     * With one component (A = 1), an incremental trial stops summing conjunct
-    * terms once it cannot score strictly below the round's best, `bestV`;
-    * such a trial could not have won, so the results do not change (see
-    * [[repro.core.SimpleInvariant.violationShifted]]). With A > 1 components
-    * every trial sums all its terms.
+    * terms once it cannot win: at `bestV` for j > bestJ, and at
+    * `Math.nextUp(bestV)` for j < bestJ, which still wins a tie. A stopped
+    * trial makes the same decision as the full one (see
+    * [[repro.core.SimpleInvariant.violationShifted]]), so the hint only
+    * finds a low `bestV` sooner. The stopping test after each substitution
+    * only asks whether the violation is above [[ConformEps]], so it stops
+    * summing once the answer is yes ([[repro.core.SimpleInvariant.project]]
+    * with `above`). With A > 1 components every trial and every stopping
+    * test sums all its terms.
     */
   private def responsibility(model: ConformanceModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
     val m = x.length
@@ -70,18 +83,21 @@ object ExTuNe {
     val comps = model.components(idx)
     val f = comps.map(c => if (c == null) null else new Array[Double](c.k))
     val t = new Array[Double](m)
+    val pruned = comps.length == 1
+    val above = if (pruned) ConformEps else Double.PositiveInfinity
 
-    // Projects t into f and returns its violation.
+    // Projects t into f and returns its violation, or, once that is above
+    // `above`, a value still above it.
     def project(): Double = {
       var s = 0.0; var a = 0
       while (a < comps.length) {
-        s += (if (comps(a) == null) 1.0 else comps(a).project(t, f(a)))
+        s += (if (comps(a) == null) 1.0 else comps(a).project(t, f(a), above))
         a += 1
       }
       s / comps.length
     }
-    // The violation of substituting j, or, once it reaches cap, a value
-    // that is still ≥ cap.
+    // The violation of substituting j, or, once the sum reaches cap, a
+    // value that is below cap iff that violation is.
     def trial(j: Int, incremental: Boolean, cap: Double): Double =
       if (incremental) {
         val delta = target(j) - t(j)
@@ -101,6 +117,7 @@ object ExTuNe {
       }
 
     val done = new Array[Boolean](m)
+    val hint = Array.fill(m)(-1)
     var i = 0
     while (i < m) {
       System.arraycopy(x, 0, t, 0, m)
@@ -112,15 +129,20 @@ object ExTuNe {
       while (v > ConformEps && k < m - 1) {
         // Greedy: substitute the attribute that lowers violation the most.
         val incremental = t.forall(java.lang.Double.isFinite)
+        val h = if (hint(k) >= 0 && !done(hint(k))) hint(k) else -1
         var bestJ = -1; var bestV = Double.MaxValue
-        var j = 0
-        while (j < m) {
-          if (!done(j)) {
-            val vj = trial(j, incremental, if (comps.length == 1) bestV else Double.PositiveInfinity)
-            if (vj < bestV) { bestV = vj; bestJ = j }
+        // Position −1 tries the hint, then 0 until m the others in order.
+        var p = if (h >= 0) -1 else 0
+        while (p < m) {
+          val j = if (p < 0) h else p
+          if (!done(j) && (p < 0 || j != h)) {
+            val cap = if (!pruned) Double.PositiveInfinity else if (j < bestJ) Math.nextUp(bestV) else bestV
+            val vj = trial(j, incremental, cap)
+            if (vj < bestV || (vj == bestV && j < bestJ)) { bestV = vj; bestJ = j }
           }
-          j += 1
+          p += 1
         }
+        hint(k) = bestJ
         t(bestJ) = target(bestJ)
         done(bestJ) = true
         v = project()

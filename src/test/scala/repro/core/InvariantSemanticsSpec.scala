@@ -120,4 +120,17 @@ class InvariantSemanticsSpec extends AnyFunSuite with PropCheck {
     assert(violation(phi, Array(5.0)) == 0.0)
     assert(violation(phi, Array(5.001)) > 0.999)
   }
+
+  test("a NaN or negative γ or α is rejected") {
+    // With γ = NaN on a's conjunct, the tuple (5, 5) scored NaN, and ExTuNe
+    // called b fully responsible although substituting b leaves a violated.
+    val onB = bp(Array(0.0, 1.0), -1.0, 1.0, alpha = 1.0, gamma = 0.5)
+    val onA = bp(Array(1.0, 0.0), -1.0, 1.0, alpha = 1.0, gamma = 0.5)
+    Seq(onA.copy(gamma = Double.NaN), onA.copy(alpha = Double.NaN), onA.copy(gamma = -0.5), onA.copy(alpha = -1.0))
+      .foreach { bad =>
+        val e = intercept[IllegalArgumentException](SimpleInvariant(Seq(bad, onB)))
+        assert(e.getMessage.contains("γ or α"), e.getMessage)
+      }
+    assert(SimpleInvariant(Seq(onA, onB)).violation(Array(5.0, 5.0)) == 0.5 * Invariant.eta(4.0) + 0.5 * Invariant.eta(4.0))
+  }
 }

@@ -338,6 +338,124 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
     assert(GreedyOracle.tupleResponsibility(two, pv, x).toSeq == want)
   }
 
+  /** A one-component model over (p, q, r, s) with target means 0. */
+  private def pqrs(bps: BoundedProjection*): ConformanceModel =
+    ConformanceModel(Seq("p", "q", "r", "s"),
+      FittedSimple(SimpleInvariant(bps), Array(0.0, 0.0, 0.0, 0.0), 10L), Nil)
+
+  test("a hinted attribute that ties exactly with a lower index: the lower index is substituted") {
+    // Conjuncts F1 = q − s and F2 = s − p within ±1 (α = 1, γ = 1/2), tuple
+    // (p, q, r, s) = (2, 0, 0, 2), so only F1 = −2 is violated. From p, s
+    // alone conforms (1/2), so s is the first round's hint. From q, the hint
+    // s (F1 = 0, F2 = −2) ties exactly with r, which leaves F1 = −2 and
+    // F2 = 0: r, the lower index, must win, and s and p follow (1/4);
+    // letting the hint win would take p next and give 1/3. From r the same
+    // (1/4), and from s, p conforms (1/2).
+    val model = pqrs(
+      BoundedProjection(Array(0.0, 1.0, 0.0, -1.0), -1.0, 1.0, alpha = 1.0, gamma = 0.5, mean = 0.0, std = 0.25),
+      BoundedProjection(Array(-1.0, 0.0, 0.0, 1.0), -1.0, 1.0, alpha = 1.0, gamma = 0.5, mean = 0.0, std = 0.25))
+    val x = Array(2.0, 0.0, 0.0, 2.0)
+    val want = Seq(0.5, 0.25, 0.25, 0.5)
+    assert(ExTuNe.tupleResponsibility(model, Map.empty, x).toSeq == want)
+    val (oracle, paths) = GreedyOracle.repair(model, Map.empty, x)
+    assert(oracle.toSeq == want && paths(0) == Seq(3) && paths(1) == Seq(2, 3, 0), s"paths $paths")
+  }
+
+  test("a round where every trial clamps to 1: the lowest index wins over the hint") {
+    // Conjuncts F1 = q + r − s and F2 = −q − s within ±1, α = 100 and
+    // γ = 0.6 each, so a violated conjunct adds exactly 0.6 and two sum to
+    // 1.2, clamped to 1. Tuple (p, q, r, s) = (2, 2, 0, 5). From q, s
+    // conforms (1/2), so s is the first round's hint. From r, every trial
+    // (p: F = (−3, −7), q: (−5, −5), s: (2, −2)) clamps to 1: p, the lowest
+    // index, must win over the hint s; then q ties s at 1 and wins, and s
+    // conforms (1/4). Letting the hint win would give 1/3.
+    val model = pqrs(
+      BoundedProjection(Array(0.0, 1.0, 1.0, -1.0), -1.0, 1.0, alpha = 100.0, gamma = 0.6, mean = 0.0, std = 0.25),
+      BoundedProjection(Array(0.0, -1.0, 0.0, -1.0), -1.0, 1.0, alpha = 100.0, gamma = 0.6, mean = 0.0, std = 0.25))
+    val x = Array(2.0, 2.0, 0.0, 5.0)
+    val want = Seq(1.0 / 3, 0.5, 0.25, 0.5)
+    assert(ExTuNe.tupleResponsibility(model, Map.empty, x).toSeq == want)
+    val (oracle, paths) = GreedyOracle.repair(model, Map.empty, x)
+    assert(oracle.toSeq == want && paths(1) == Seq(3) && paths(2) == Seq(0, 1, 3), s"paths $paths")
+  }
+
+  /** How often ExTuNe's repair tries a hint, and how often the hint then
+    * loses, replaying its rule over the greedy's paths: round r of a start
+    * first tries the winner of round r in the last start that reached it,
+    * if that attribute is not yet substituted.
+    */
+  private def hintTrials(paths: IndexedSeq[Seq[Int]]): (Int, Int) = {
+    val hint = Array.fill(paths.length)(-1)
+    var tried, lost = 0
+    paths.indices.foreach { i =>
+      val done = scala.collection.mutable.Set(i)
+      paths(i).zipWithIndex.foreach { case (winner, r) =>
+        if (hint(r) >= 0 && !done(hint(r))) { tried += 1; if (hint(r) != winner) lost += 1 }
+        hint(r) = winner
+        done += winner
+      }
+    }
+    (tried, lost)
+  }
+
+  test("responsibilities equal the naive greedy on tuples that share a shifted attribute") {
+    var tried, lost, multiRound = 0
+    (1 to 30).foreach { seed =>
+      val rnd = new Random(200 + seed)
+      val m = 6 + rnd.nextInt(7)
+      val attrs = if (seed % 2 == 0) Nil else Seq("g" -> Seq("a", "b"))
+      val (model, sources) = RandomModels.model(rnd, m, attrs)
+      val shared = rnd.nextInt(m)
+      (1 to 8).foreach { _ =>
+        val pv: Map[String, Option[String]] = attrs.map { case (a, keys) => a -> Some(keys(rnd.nextInt(keys.size))) }.toMap
+        val src = attrs.headOption.map { case (a, _) => sources(s"$a=${pv(a).get}") }.getOrElse(sources(""))
+        val x = src.draw(rnd)
+        x(shared) += rnd.between(20.0, 60.0) * (if (rnd.nextBoolean()) 1 else -1)
+        // Every other tuple has a second shift of its own.
+        if (rnd.nextBoolean()) {
+          val j = rnd.nextInt(m)
+          if (j != shared) x(j) += rnd.between(5.0, 40.0) * (if (rnd.nextBoolean()) 1 else -1)
+        }
+
+        val got = ExTuNe.tupleResponsibility(model, pv, x)
+        val (want, paths) = GreedyOracle.repair(model, pv, x)
+        assert(bits(got) == bits(want), s"seed $seed m $m pv $pv x ${x.toSeq}: got ${got.toSeq}, want ${want.toSeq}")
+        val (t, l) = hintTrials(paths)
+        tried += t; lost += l
+        if (got.exists(r => r > 0 && r < 0.5)) multiRound += 1
+      }
+    }
+    assert(tried > 100 && lost > 0 && multiRound > 0, s"coverage: tried $tried lost $lost multiRound $multiRound")
+  }
+
+  test("project with a threshold writes every projection and decides the threshold like the full sum") {
+    var stopped = 0
+    (1 to 30).foreach { seed =>
+      val rnd = new Random(300 + seed)
+      val m = 3 + rnd.nextInt(8)
+      val src = RandomModels.source(rnd, m)
+      val inv = RandomModels.fitted(rnd, src, (0 until m).map(i => s"x$i")).inv
+      (1 to 20).foreach { _ =>
+        val x = src.draw(rnd)
+        rnd.shuffle((0 until m).toList).take(rnd.nextInt(4))
+          .foreach(i => x(i) += rnd.between(0.1, 30.0) * (if (rnd.nextBoolean()) 1 else -1))
+        if (rnd.nextInt(10) == 0) x(rnd.nextInt(m)) = Double.NaN
+        val fFull = new Array[Double](inv.k)
+        val full = inv.project(x, fFull)
+        Seq(0.0, ExTuNe.ConformEps, 0.01, 0.5, Math.nextDown(1.0), full, Math.nextDown(full), Math.nextUp(full))
+          .filter(_ < 1.0).foreach { above =>
+            val f = Array.fill(inv.k)(Double.NaN)
+            val v = inv.project(x, f, above)
+            assert(bits(f) == bits(fFull), s"seed $seed above $above")
+            assert((v > above) == (full > above), s"seed $seed above $above: $v against $full")
+            if (v <= above) assert(bits(Array(v)) == bits(Array(full)), s"seed $seed above $above: $v against $full")
+            else if (v != full) stopped += 1
+          }
+      }
+    }
+    assert(stopped > 0, "no sum stopped early")
+  }
+
   test("aggregate runs one job with no shuffle stage on a cached frame") {
     val rnd = new Random(6)
     val df = (1 to 400).map(_ => (15.0 + rnd.nextGaussian(), rnd.nextGaussian())).toDF("a", "b")

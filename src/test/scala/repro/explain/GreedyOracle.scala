@@ -12,11 +12,21 @@ object GreedyOracle {
       model: ConformanceModel,
       partVals: Map[String, Option[String]],
       x: Array[Double],
-  ): Array[Double] = {
+  ): Array[Double] = repair(model, partVals, x)._1
+
+  /** The responsibilities and, for each start i, the attributes the greedy
+    * substituted after i, in order (all empty for a conforming tuple).
+    */
+  def repair(
+      model: ConformanceModel,
+      partVals: Map[String, Option[String]],
+      x: Array[Double],
+  ): (Array[Double], IndexedSeq[Seq[Int]]) = {
     val m = x.length
     val target = Reference.interventionMeans(model, partVals)
     val out = new Array[Double](m)
-    if (Reference.violation(model, partVals, x) <= ExTuNe.ConformEps) return out
+    val paths = IndexedSeq.fill(m)(scala.collection.mutable.ArrayBuffer.empty[Int])
+    if (Reference.violation(model, partVals, x) <= ExTuNe.ConformEps) return (out, paths.map(_.toSeq))
 
     var i = 0
     while (i < m) {
@@ -36,12 +46,13 @@ object GreedyOracle {
         }
         t(bestJ) = target(bestJ)
         remaining -= bestJ
+        paths(i) += bestJ
         v = bestV
         k += 1
       }
       out(i) = if (v > ExTuNe.ConformEps) 0.0 else 1.0 / (k + 1.0)
       i += 1
     }
-    out
+    (out, paths.map(_.toSeq))
   }
 }
