@@ -45,8 +45,8 @@ final case class BoundedProjection(
   * of conformance and scores 1 (it only arises for partitions the
   * synthesizer could not fit). The factory requires every γ and α to be
   * ≥ 0, which a NaN fails, so no term is negative: ExTuNe's repair stops
-  * sums early on that ([[violationShifted]], [[project]] with a threshold),
-  * while [[violation]], the scoring path, always sums every term.
+  * sums early on that ([[violationShifted]], [[project]]), while
+  * [[violation]], the scoring path, always sums every term.
   *
   * @param k number of conjuncts K
   * @param m number of numeric attributes (0 when K = 0)
@@ -90,31 +90,21 @@ final class SimpleInvariant private (
     * accumulate over the attributes in order and the terms add up in
     * conjunct order.
     */
-  def violation(x: Array[Double]): Double = project(x, null)
-
-  /** [[violation]] of `x` that also writes F_k(x) for every conjunct into
-    * `f` (length ≥ K), unless `f` is null.
-    */
-  def project(x: Array[Double], f: Array[Double]): Double =
+  def violation(x: Array[Double]): Double =
     if (k == 0) 1.0
     else {
       var s = 0.0; var c = 0
-      while (c < k) {
-        val p = projection(c, x)
-        if (f != null) f(c) = p
-        s += term(c, p)
-        c += 1
-      }
+      while (c < k) { s += term(c, projection(c, x)); c += 1 }
       clamp(s)
     }
 
-  /** [[project]] for a caller that only asks whether the violation is above
-    * `above`: every F_k is still written into `f`, but terms stop being added
-    * once the partial sum exceeds `above`. For `above` < 1 the value is
-    * > `above` iff the full violation is: the terms are ≥ 0 (see
-    * [[violationShifted]]), so the full sum is at least the stopped one, and
-    * `clamp` keeps a sum above `above` < 1 above it. A sum that never exceeds
-    * `above` is the full violation.
+  /** Writes F_k(x) for every conjunct into `f` (length ≥ K) and returns the
+    * violation of `x` for a caller that only asks whether it is above
+    * `above`: terms stop being added once the partial sum exceeds `above`.
+    * For `above` < 1 the value is > `above` iff [[violation]] is: the terms
+    * are ≥ 0 (see [[violationShifted]]), so the full sum is at least the
+    * stopped one, and `clamp` keeps a sum above `above` < 1 above it. A sum
+    * that never exceeds `above`, as with `above = +∞`, is [[violation]].
     */
   def project(x: Array[Double], f: Array[Double], above: Double): Double =
     if (k == 0) 1.0

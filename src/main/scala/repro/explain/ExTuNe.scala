@@ -15,8 +15,8 @@ import repro.core.{ConformanceModel, ScoreExpr}
   * substituted before the tuple conforms; (3) responsibility(Aᵢ) = 1/(K+1).
   * Finding the minimum K is combinatorial, so we use the natural greedy
   * construction: repeatedly substitute the attribute that reduces the
-  * violation most. Each round first tries the attribute that won it in the
-  * previous start, and when the tuple falls in one component, trials that
+  * violation most. When the tuple falls in one component, each round first
+  * tries the attribute that won it in the previous start, and trials that
   * can no longer beat the round's best and stopping tests that are already
   * decided stop summing early; no result changes. Responsibilities are
   * averaged over a sample of the test set, fetched in one Spark job; the
@@ -55,24 +55,25 @@ object ExTuNe {
     * tuple still holds a NaN or infinite value evaluates its trials from
     * scratch, since such a value does not cancel out incrementally.
     *
-    * A round's winner is the attribute of lowest violation, the lowest index
-    * among exact ties. The winners of a start's rounds mostly repeat in the
-    * next start, so round r first tries `hint(r)`, the attribute that won
-    * round r in the last start that reached it, if that attribute is not
-    * yet substituted; the other trials follow in ascending order. A trial j
-    * replaces the best (bestJ, bestV) iff it scores lower, or ties it with
-    * j < bestJ, so the winner does not depend on the order of the trials.
+    * Trials run in ascending attribute order and only a strictly lower
+    * violation replaces the best, so a round's winner is the attribute of
+    * lowest violation, the lowest index among exact ties.
     *
     * With one component (A = 1), an incremental trial stops summing conjunct
-    * terms once it cannot win: at `bestV` for j > bestJ, and at
-    * `Math.nextUp(bestV)` for j < bestJ, which still wins a tie. A stopped
-    * trial makes the same decision as the full one (see
-    * [[repro.core.SimpleInvariant.violationShifted]]), so the hint only
-    * finds a low `bestV` sooner. The stopping test after each substitution
-    * only asks whether the violation is above [[ConformEps]], so it stops
-    * summing once the answer is yes ([[repro.core.SimpleInvariant.project]]
-    * with `above`). With A > 1 components every trial and every stopping
-    * test sums all its terms.
+    * terms once it cannot score strictly below the round's best, `bestV`;
+    * such a trial could not have won, so the results do not change (see
+    * [[repro.core.SimpleInvariant.violationShifted]]). The winners of a
+    * start's rounds mostly repeat in the next start, so round r first
+    * scores `hint(r)`, the attribute that won round r in the last start
+    * that reached it, if that attribute is not yet substituted, and starts
+    * `bestV` at `Math.nextUp` of that score: the lowest index scoring at
+    * most as low as the hint still wins, and the other trials are capped
+    * from the start. At its own place in the order the hint reuses its
+    * score. The stopping test after each substitution only asks whether the
+    * violation is above [[ConformEps]], so it stops summing once the answer
+    * is yes ([[repro.core.SimpleInvariant.project]]). With A > 1 components
+    * there is no hint, and every trial and every stopping test sums all its
+    * terms.
     */
   private def responsibility(model: ConformanceModel, idx: Array[Int], x: Array[Double]): Array[Double] = {
     val m = x.length
@@ -129,18 +130,18 @@ object ExTuNe {
       while (v > ConformEps && k < m - 1) {
         // Greedy: substitute the attribute that lowers violation the most.
         val incremental = t.forall(java.lang.Double.isFinite)
-        val h = if (hint(k) >= 0 && !done(hint(k))) hint(k) else -1
-        var bestJ = -1; var bestV = Double.MaxValue
-        // Position −1 tries the hint, then 0 until m the others in order.
-        var p = if (h >= 0) -1 else 0
-        while (p < m) {
-          val j = if (p < 0) h else p
-          if (!done(j) && (p < 0 || j != h)) {
-            val cap = if (!pruned) Double.PositiveInfinity else if (j < bestJ) Math.nextUp(bestV) else bestV
-            val vj = trial(j, incremental, cap)
-            if (vj < bestV || (vj == bestV && j < bestJ)) { bestV = vj; bestJ = j }
+        // The hint's value vh seeds the best just above it, so a trial must
+        // score ≤ vh to count; in order, the hint then reuses vh.
+        val h = if (pruned && hint(k) >= 0 && !done(hint(k))) hint(k) else -1
+        val vh = if (h >= 0) trial(h, incremental, Double.MaxValue) else Double.NaN
+        var bestJ = -1; var bestV = if (vh.isNaN) Double.MaxValue else Math.nextUp(vh)
+        var j = 0
+        while (j < m) {
+          if (!done(j)) {
+            val vj = if (j == h) vh else trial(j, incremental, if (pruned) bestV else Double.PositiveInfinity)
+            if (vj < bestV) { bestV = vj; bestJ = j }
           }
-          p += 1
+          j += 1
         }
         hint(k) = bestJ
         t(bestJ) = target(bestJ)

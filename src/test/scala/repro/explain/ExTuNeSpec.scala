@@ -440,8 +440,11 @@ class ExTuNeSpec extends SparkSpec with JobCounts {
         rnd.shuffle((0 until m).toList).take(rnd.nextInt(4))
           .foreach(i => x(i) += rnd.between(0.1, 30.0) * (if (rnd.nextBoolean()) 1 else -1))
         if (rnd.nextInt(10) == 0) x(rnd.nextInt(m)) = Double.NaN
+        val full = inv.violation(x)
         val fFull = new Array[Double](inv.k)
-        val full = inv.project(x, fFull)
+        assert(bits(Array(inv.project(x, fFull, Double.PositiveInfinity))) == bits(Array(full)), s"seed $seed")
+        val fRef = inv.conjuncts.map(bp => bp.weights.indices.foldLeft(0.0)((p, i) => p + bp.weights(i) * x(i))).toArray
+        assert(bits(fFull) == bits(fRef), s"seed $seed")
         Seq(0.0, ExTuNe.ConformEps, 0.01, 0.5, Math.nextDown(1.0), full, Math.nextDown(full), Math.nextUp(full))
           .filter(_ < 1.0).foreach { above =>
             val f = Array.fill(inv.k)(Double.NaN)
